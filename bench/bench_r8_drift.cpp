@@ -120,14 +120,8 @@ int main(int argc, char** argv) {
   common::TextTable events("R8b: Controller events");
   events.set_header({"t_s", "event", "rules", "observed_miss"});
   for (const auto& e : adaptive.events()) {
-    const char* name = "?";
-    switch (e.type) {
-      case sdn::ControllerEventType::kBootstrap: name = "bootstrap"; break;
-      case sdn::ControllerEventType::kDriftDetected: name = "drift-detected"; break;
-      case sdn::ControllerEventType::kRetrained: name = "retrained"; break;
-      case sdn::ControllerEventType::kInstallFailed: name = "install-failed"; break;
-    }
-    events.add_row({common::TextTable::num(e.time_s, 1), name,
+    events.add_row({common::TextTable::num(e.time_s, 1),
+                    sdn::controller_event_name(e.type),
                     common::TextTable::integer(static_cast<long long>(e.rules_installed)),
                     common::TextTable::num(e.observed_miss_rate, 2)});
   }

@@ -84,15 +84,9 @@ int main() {
 
   std::printf("\ncontroller event log:\n");
   for (const auto& e : gateway.events()) {
-    const char* name = "?";
-    switch (e.type) {
-      case sdn::ControllerEventType::kBootstrap: name = "bootstrap"; break;
-      case sdn::ControllerEventType::kDriftDetected: name = "drift detected"; break;
-      case sdn::ControllerEventType::kRetrained: name = "retrained + reinstalled"; break;
-      case sdn::ControllerEventType::kInstallFailed: name = "install FAILED"; break;
-    }
-    std::printf("  t=%6.1fs  %-24s rules=%zu  miss-rate=%.2f\n", e.time_s, name,
-                e.rules_installed, e.observed_miss_rate);
+    std::printf("  t=%6.1fs  %-24s rules=%zu  miss-rate=%.2f\n", e.time_s,
+                sdn::controller_event_name(e.type), e.rules_installed,
+                e.observed_miss_rate);
   }
 
   const auto& stats = gateway.data_plane().stats();

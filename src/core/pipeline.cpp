@@ -23,7 +23,10 @@ void TwoStagePipeline::fit(const pkt::Trace& train) {
 
 namespace {
 int predict_values(const SynthesizedRules& rules, std::span<const std::uint64_t> values) {
-  // Evaluate entries exactly as the table would (priority order).
+  // Evaluate entries exactly as the table would (priority order). This loop
+  // deliberately does not call p4::entry_matches: it is the independent
+  // software check the switch is tested against
+  // (Pipeline.SwitchAgreesWithSoftwarePredict).
   for (const auto& entry : rules.entries) {
     bool match = true;
     for (std::size_t i = 0; i < entry.fields.size() && i < values.size(); ++i) {

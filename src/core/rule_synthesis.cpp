@@ -396,15 +396,7 @@ SynthesizedRules synthesize_rules(const pkt::Trace& train,
       std::vector<std::uint64_t> other_hits(candidates.size(), 0);
       for (std::size_t s = 0; s < values.size(); ++s) {
         for (std::size_t e = 0; e < candidates.size(); ++e) {
-          const auto& entry = candidates[e].entry;
-          bool match = true;
-          for (std::size_t f = 0; f < entry.fields.size(); ++f) {
-            if ((values[s][f] & entry.fields[f].mask) != entry.fields[f].value) {
-              match = false;
-              break;
-            }
-          }
-          if (match) {
+          if (p4::entry_matches(result.program.keys, candidates[e].entry, values[s])) {
             (val_data.labels[s] == target_label ? target_hits[e] : other_hits[e]) += 1;
             break;  // first-match semantics
           }

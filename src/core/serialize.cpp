@@ -149,6 +149,13 @@ std::optional<TwoStagePipeline> load_pipeline(const std::string& path) {
     std::fclose(f);
     return std::nullopt;
   };
+  // Enum bytes are range-checked before the cast: an out-of-range MatchKind
+  // or ActionOp would fall through every switch on the packet path.
+  auto read_action = [&](p4::ActionOp& action) {
+    const std::uint8_t raw = r.u8();
+    action = static_cast<p4::ActionOp>(raw);
+    return raw <= static_cast<std::uint8_t>(p4::ActionOp::kMirror);
+  };
 
   char magic[8];
   r.raw(magic, sizeof magic);
@@ -182,17 +189,20 @@ std::optional<TwoStagePipeline> load_pipeline(const std::string& path) {
   for (std::uint32_t i = 0; i < n_keys; ++i) {
     p4::KeySpec key;
     key.field = read_field_ref(r);
-    key.kind = static_cast<p4::MatchKind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(p4::MatchKind::kRange)) return fail();
+    key.kind = static_cast<p4::MatchKind>(kind);
     rules.program.keys.push_back(std::move(key));
   }
-  rules.program.default_action = static_cast<p4::ActionOp>(r.u8());
+  if (!read_action(rules.program.default_action)) return fail();
 
   const std::uint32_t n_entries = r.u32();
   if (!r.ok() || n_entries > (1u << 20)) return fail();
   for (std::uint32_t i = 0; i < n_entries; ++i) {
     p4::TableEntry entry;
+    // One match field per key: entry_matches() indexes fields by key.
     const std::uint32_t n_match = r.u32();
-    if (!r.ok() || n_match > 1024) return fail();
+    if (!r.ok() || n_match != n_keys) return fail();
     for (std::uint32_t j = 0; j < n_match; ++j) {
       p4::MatchField field;
       field.value = r.u64();
@@ -202,7 +212,7 @@ std::optional<TwoStagePipeline> load_pipeline(const std::string& path) {
       entry.fields.push_back(field);
     }
     entry.priority = r.i32();
-    entry.action = static_cast<p4::ActionOp>(r.u8());
+    if (!read_action(entry.action)) return fail();
     entry.attack_class = r.u8();
     entry.note = r.str();
     rules.entries.push_back(std::move(entry));
@@ -220,6 +230,16 @@ std::optional<TwoStagePipeline> load_pipeline(const std::string& path) {
     node.right = r.i32();
     node.attack_probability = r.f64();
     node.samples = static_cast<std::size_t>(r.u64());
+    // Split nodes read an extracted field and point forward to children
+    // (the tree is stored in preorder), so a walk can neither index past
+    // the sample nor loop.
+    const auto n = static_cast<std::int64_t>(n_nodes);
+    if (!node.is_leaf() &&
+        (node.feature < 0 ||
+         static_cast<std::size_t>(node.feature) >= rules.program.parser.fields.size() ||
+         node.left <= static_cast<std::int64_t>(i) || node.left >= n ||
+         node.right <= static_cast<std::int64_t>(i) || node.right >= n))
+      return fail();
     nodes.push_back(node);
   }
   rules.tree = ml::DecisionTree::from_nodes(std::move(nodes));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace p4iot::p4 {
 
@@ -98,8 +99,7 @@ void DataplaneEngine::publish_plan() {
   // is idle the workers are parked and quiesced, so apply it here on the
   // control thread: rule calls between batches then behave exactly like the
   // pre-snapshot fan-out engine (every single-step counter carry included).
-  if (mode_.load(std::memory_order_acquire) == Mode::kIdle)
-    for (auto& w : workers_) maybe_adopt(*w);
+  if (!streaming()) for (auto& w : workers_) maybe_adopt(*w);
   metrics_.swap_ns->record(telemetry::now_ns() - t0);
 }
 
@@ -149,7 +149,7 @@ void DataplaneEngine::worker_main(std::size_t worker_index) {
       std::unique_lock lock(mutex_);
       work_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_relaxed) ||
-               mode_.load(std::memory_order_relaxed) != Mode::kIdle;
+               streaming_.load(std::memory_order_relaxed);
       });
       if (stop_.load(std::memory_order_relaxed)) return;
     }
@@ -168,10 +168,10 @@ void DataplaneEngine::ring_loop(Worker& w) {
       std::unique_lock lock(r.m);
       r.data_cv.wait(lock, [&] {
         return r.count > 0 || stop_.load(std::memory_order_relaxed) ||
-               mode_.load(std::memory_order_relaxed) == Mode::kIdle;
+               !streaming_.load(std::memory_order_relaxed);
       });
       if (stop_.load(std::memory_order_relaxed)) return;
-      if (r.count == 0) return;  // back to idle with a drained ring
+      if (r.count == 0) return;  // stream closed with a drained ring
       const std::size_t take = std::min(r.count, kWorkerChunk);
       for (std::size_t i = 0; i < take; ++i) {
         chunk.push_back(r.slots[r.head]);
@@ -185,18 +185,21 @@ void DataplaneEngine::ring_loop(Worker& w) {
     // within one chunk all see one snapshot — a swap is hitless.
     maybe_adopt(w);
 
-    const bool streaming =
-        mode_.load(std::memory_order_acquire) == Mode::kStream;
+    // The one delivery path. A throwing sink must not take the worker down
+    // (std::terminate): the frame still counts as delivered, so a flush
+    // cannot hang, and the first error is rethrown on the caller.
+    std::exception_ptr error;
     for (const auto& item : chunk) {
       const Verdict verdict = w.sw.process(*item.frame);
-      if (streaming) {
+      try {
         if (sink_) sink_(item.seq, *item.frame, verdict);
-      } else {
-        (*out_)[item.seq] = verdict;
+      } catch (...) {
+        if (!error) error = std::current_exception();
       }
     }
     {
       std::lock_guard lock(done_mutex_);
+      if (error && !delivery_error_) delivery_error_ = std::move(error);
       delivered_total_ += chunk.size();
     }
     done_cv_.notify_all();
@@ -270,34 +273,19 @@ void DataplaneEngine::process_batch(std::span<const pkt::Packet> batch,
   if (batch.empty()) return;
   const std::uint64_t batch_start_ns = telemetry::now_ns();
 
-  out_ = &out;
-  {
-    std::lock_guard lock(mutex_);
-    mode_.store(Mode::kBatch, std::memory_order_release);
-  }
-  work_cv_.notify_all();
-
-  // Batch frames ride the same rings as streaming, numbered by batch index
-  // (the verdict slot), with always-block backpressure: a batch loses
-  // nothing regardless of the configured streaming policy.
+  // A batch is an internal stream whose sink files verdicts by batch index
+  // (so the stream seq numbering does not move), pushed with always-block
+  // backpressure: a batch loses nothing whatever the configured policy.
+  open_stream([&out](std::uint64_t i, const pkt::Packet&, const Verdict& v) {
+    out[i] = v;
+  });
   accepted_total_ += enqueue(batch, 0, /*allow_drop=*/false);
-  {
-    std::unique_lock lock(done_mutex_);
-    done_cv_.wait(lock, [&] { return delivered_total_ >= accepted_total_; });
-  }
-  {
-    std::lock_guard lock(mutex_);
-    mode_.store(Mode::kIdle, std::memory_order_release);
-  }
-  wake_all_rings();  // workers park until the next batch/stream
+  stop_stream();
 
-  // Deliver mirrored packets on the caller's thread, in worker order.
-  if (mirror_) {
-    for (auto& w : workers_) {
-      for (const auto& p : w->mirrored) mirror_(p);
-      w->mirrored.clear();
-    }
-  }
+  // Mirrored frames reach the handler on the caller's thread, in packet order.
+  if (mirror_)
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      if (out[i].action == ActionOp::kMirror) mirror_(batch[i]);
 
   // Batch-granularity telemetry: a handful of atomics plus one ring-buffer
   // span per dispatch — amortized to nothing over the packets inside.
@@ -322,17 +310,29 @@ void DataplaneEngine::process_batch(std::span<const pkt::Packet> batch,
 }
 
 void DataplaneEngine::start_stream(VerdictSink sink) {
-  if (mode_.load(std::memory_order_acquire) != Mode::kIdle)
+  if (streaming())
     throw std::logic_error("DataplaneEngine::start_stream: engine not idle");
-  sink_ = std::move(sink);
   session_base_ = accepted_total_;
   for (auto& w : workers_) {
     std::lock_guard lock(w->ring.m);
     w->ring.dropped = 0;
   }
+  if (mirror_) {
+    // Stream mirrors run on the worker, just before the frame's sink call.
+    sink = [mirror = mirror_, sink = std::move(sink)](
+               std::uint64_t seq, const pkt::Packet& p, const Verdict& v) {
+      if (v.action == ActionOp::kMirror) mirror(p);
+      if (sink) sink(seq, p, v);
+    };
+  }
+  open_stream(std::move(sink));
+}
+
+void DataplaneEngine::open_stream(VerdictSink sink) {
+  sink_ = std::move(sink);
   {
     std::lock_guard lock(mutex_);
-    mode_.store(Mode::kStream, std::memory_order_release);
+    streaming_.store(true, std::memory_order_release);
   }
   work_cv_.notify_all();
 }
@@ -349,25 +349,31 @@ std::size_t DataplaneEngine::stream_push(std::span<const pkt::Packet> frames) {
   return accepted;
 }
 
-void DataplaneEngine::stream_flush() {
+std::exception_ptr DataplaneEngine::drain() {
   std::unique_lock lock(done_mutex_);
   done_cv_.wait(lock, [&] { return delivered_total_ >= accepted_total_; });
+  return std::exchange(delivery_error_, nullptr);
+}
+
+void DataplaneEngine::stream_flush() {
+  if (std::exception_ptr error = drain()) std::rethrow_exception(error);
 }
 
 void DataplaneEngine::stop_stream() {
   if (!streaming()) return;
-  stream_flush();
+  std::exception_ptr error = drain();
   {
     std::lock_guard lock(mutex_);
-    mode_.store(Mode::kIdle, std::memory_order_release);
+    streaming_.store(false, std::memory_order_release);
   }
   wake_all_rings();
   sink_ = nullptr;
-  // The rings are drained and the workers quiesced (the flush's done_mutex_
+  // The rings are drained and the workers quiesced (the drain's done_mutex_
   // handshake is the happens-before edge), so fan the newest plan out here:
   // workers that saw no traffic after a mid-stream swap adopt it now, and
-  // merged counter reads after stop_stream() are canonical.
+  // merged counter reads after the stream are canonical.
   for (auto& w : workers_) maybe_adopt(*w);
+  if (error) std::rethrow_exception(error);
 }
 
 DataplaneEngine::StreamStats DataplaneEngine::stream_stats() const {
@@ -449,22 +455,6 @@ void DataplaneEngine::adopt_rules(std::shared_ptr<const RuleSnapshot> snap) {
 
 void DataplaneEngine::set_mirror_handler(P4Switch::MirrorHandler handler) {
   mirror_ = std::move(handler);
-  for (auto& worker : workers_) {
-    Worker* w = worker.get();
-    if (mirror_) {
-      // Batch mode buffers mirrored frames for post-batch delivery on the
-      // caller thread; streaming delivers them inline on the worker.
-      w->sw.set_mirror_handler([this, w](const pkt::Packet& p) {
-        if (mode_.load(std::memory_order_relaxed) == Mode::kStream) {
-          mirror_(p);
-        } else {
-          w->mirrored.push_back(p);
-        }
-      });
-    } else {
-      w->sw.set_mirror_handler(nullptr);
-    }
-  }
 }
 
 SwitchStats DataplaneEngine::stats() const {
@@ -537,7 +527,13 @@ void DataplaneEngine::publish_telemetry() const {
   reg.set_gauge("p4iot_engine_backpressure",
                 static_cast<double>(static_cast<int>(backpressure_)),
                 "Full-ring policy (0 = block, 1 = drop)");
-  std::uint64_t occupancy = 0, capacity = 0, dropped_sum = 0;
+  const P4Switch& first = workers_[0]->sw;
+  DataplaneGauges gauges;
+  gauges.stats = stats();
+  gauges.table = &first.table();
+  if (first.flow_cache_enabled()) gauges.cache = flow_cache_stats();
+  if (const RateGuard* guard = first.rate_guard()) gauges.guard = &guard->spec();
+  std::uint64_t dropped_sum = 0;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     const auto& sw = workers_[w]->sw;
     reg.set_gauge("p4iot_engine_worker_packets{worker=\"" + std::to_string(w) + "\"}",
@@ -549,66 +545,18 @@ void DataplaneEngine::publish_telemetry() const {
                   static_cast<double>(dropped),
                   "Frames shed at each worker's full ring (drop policy)");
     if (const FlowVerdictCache* cache = sw.flow_cache()) {
-      occupancy += cache->occupancy();
-      capacity += cache->capacity();
+      gauges.cache_occupancy += cache->occupancy();
+      gauges.cache_capacity += cache->capacity();
+    }
+    if (const RateGuard* guard = sw.rate_guard()) {
+      gauges.guard_tripped += guard->tripped_count();
+      gauges.guard_sketch_load += guard->sketch().load_factor();
     }
   }
+  gauges.guard_sketch_load /= static_cast<double>(workers_.size());
   reg.set_gauge("p4iot_engine_ring_dropped_total", static_cast<double>(dropped_sum),
                 "Frames shed across all ingest rings (drop policy)");
-
-  // Aggregate gauges share the P4Switch names: they are absolute values, so
-  // writing the merged worker shards gives the engine-wide view.
-  const SwitchStats merged = stats();
-  reg.set_gauge("p4iot_dataplane_packets_total", static_cast<double>(merged.packets),
-                "Packets processed (absolute count at snapshot time)");
-  reg.set_gauge("p4iot_dataplane_permitted_total",
-                static_cast<double>(merged.permitted));
-  reg.set_gauge("p4iot_dataplane_dropped_total", static_cast<double>(merged.dropped));
-  reg.set_gauge("p4iot_dataplane_mirrored_total",
-                static_cast<double>(merged.mirrored));
-  reg.set_gauge("p4iot_dataplane_malformed_total",
-                static_cast<double>(merged.malformed));
-  reg.set_gauge("p4iot_dataplane_rate_guard_drops_total",
-                static_cast<double>(merged.rate_guard_drops));
-  reg.set_gauge("p4iot_dataplane_bytes_in_total",
-                static_cast<double>(merged.bytes_in));
-  reg.set_gauge("p4iot_dataplane_bytes_forwarded_total",
-                static_cast<double>(merged.bytes_forwarded));
-  reg.set_gauge("p4iot_dataplane_table_entries",
-                static_cast<double>(workers_[0]->sw.table().entry_count()),
-                "Installed firewall rules");
-
-  const FlowCacheStats cache = flow_cache_stats();
-  reg.set_gauge("p4iot_flow_cache_hits_total", static_cast<double>(cache.hits),
-                "Flow-verdict cache hits");
-  reg.set_gauge("p4iot_flow_cache_misses_total", static_cast<double>(cache.misses));
-  reg.set_gauge("p4iot_flow_cache_insertions_total",
-                static_cast<double>(cache.insertions));
-  reg.set_gauge("p4iot_flow_cache_invalidations_total",
-                static_cast<double>(cache.invalidations));
-  reg.set_gauge("p4iot_flow_cache_hit_rate", cache.hit_rate(),
-                "Hits / (hits + misses)");
-  reg.set_gauge("p4iot_flow_cache_occupancy", static_cast<double>(occupancy),
-                "Valid slots");
-  reg.set_gauge("p4iot_flow_cache_capacity", static_cast<double>(capacity));
-
-  if (const RateGuard* guard = workers_[0]->sw.rate_guard()) {
-    std::uint64_t tripped = 0;
-    double load = 0.0;
-    for (const auto& w : workers_) {
-      if (const RateGuard* g = w->sw.rate_guard()) {
-        tripped += g->tripped_count();
-        load += g->sketch().load_factor();
-      }
-    }
-    reg.set_gauge("p4iot_rate_guard_tripped_total", static_cast<double>(tripped),
-                  "Times a key crossed the guard threshold");
-    reg.set_gauge("p4iot_rate_guard_sketch_load",
-                  load / static_cast<double>(workers_.size()),
-                  "Mean fraction of sketch counters non-zero (saturation)");
-    reg.set_gauge("p4iot_rate_guard_threshold",
-                  static_cast<double>(guard->spec().threshold));
-  }
+  publish_dataplane_gauges(gauges);
 }
 
 }  // namespace p4iot::p4

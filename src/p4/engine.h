@@ -29,6 +29,11 @@
 //     derivations) or archived (bulk replace / skipped versions) and stays
 //     queryable via hit_count_for_version().
 //
+// Delivery: there is one packet path. A worker pops a chunk from its ring,
+// classifies each frame with P4Switch::process() and hands the verdict to
+// the open stream's sink. process_batch() is an internal stream whose sink
+// files verdicts by batch index; it does not have its own delivery mode.
+//
 // Threading contract:
 //   * Rule calls are serialized against each other (one control thread at a
 //     time) but ARE safe concurrent with streaming ingest — that is the
@@ -46,6 +51,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -81,8 +87,8 @@ struct EngineConfig {
   /// so it defaults to the compiled tuple-space index; the single P4Switch
   /// keeps the linear scan as its faithful default.
   MatchBackend match_backend = MatchBackend::kCompiled;
-  /// Per-worker ingest ring slots (streaming mode; batch mode also moves
-  /// frames through the rings but always blocks on a full ring).
+  /// Per-worker ingest ring slots (process_batch() also moves frames
+  /// through the rings, but always blocks on a full ring).
   std::size_t ring_capacity = 1024;
   /// Full-ring policy for stream_push().
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
@@ -97,9 +103,11 @@ class DataplaneEngine {
   DataplaneEngine& operator=(const DataplaneEngine&) = delete;
 
   /// Shard `batch` across the workers and block until every verdict is in;
-  /// verdicts come back in packet order. Implemented over the same ingest
-  /// rings as streaming (always-blocking push, verdicts gathered into `out`
-  /// by frame index). Throws std::logic_error while a stream is open.
+  /// verdicts come back in packet order. Runs as an internal stream: a sink
+  /// that files verdicts into `out` by frame index, always-blocking push
+  /// whatever the configured policy, then flush and close. Batch frames are
+  /// numbered by batch index and do not advance the stream `seq`. Throws
+  /// std::logic_error while a stream is open.
   std::vector<Verdict> process_batch(std::span<const pkt::Packet> batch);
   void process_batch(std::span<const pkt::Packet> batch, std::vector<Verdict>& out);
 
@@ -108,13 +116,16 @@ class DataplaneEngine {
   /// Async verdict delivery: invoked on worker threads, concurrently across
   /// workers. `seq` is the frame's push sequence number; frames of one flow
   /// land on one worker, so their sink calls are ordered by `seq` — cross-
-  /// flow ordering is unspecified.
+  /// flow ordering is unspecified. An exception thrown by the sink (or by a
+  /// stream mirror handler) is caught on the worker: the frame still counts
+  /// as delivered, and the first such exception is rethrown on the caller
+  /// by the next stream_flush() or stop_stream().
   using VerdictSink =
       std::function<void(std::uint64_t seq, const pkt::Packet&, const Verdict&)>;
 
-  /// Open a stream: workers switch from batch dispatch to draining their
-  /// ingest rings and delivering verdicts through `sink`. Requires an idle
-  /// engine (no open stream, no batch in flight).
+  /// Open a stream: workers drain their ingest rings and deliver verdicts
+  /// through `sink`. Requires an idle engine (no open stream, no batch in
+  /// flight).
   void start_stream(VerdictSink sink);
   /// Enqueue frames (single producer). Frames are taken BY REFERENCE — the
   /// caller must keep them alive and unchanged until stream_flush() or
@@ -125,11 +136,13 @@ class DataplaneEngine {
     return stream_push(std::span<const pkt::Packet>(&frame, 1)) == 1;
   }
   /// Block until every accepted frame's verdict has been delivered. The
-  /// rings are empty when this returns (but the stream stays open).
+  /// rings are empty when this returns (but the stream stays open). Then
+  /// rethrows the first exception a sink threw since the last flush.
   void stream_flush();
-  /// Flush, then return workers to batch dispatch. Idempotent.
+  /// Flush, then close the stream (rethrowing like stream_flush(), after
+  /// the stream is closed). Idempotent.
   void stop_stream();
-  bool streaming() const noexcept { return mode_.load(std::memory_order_acquire) == Mode::kStream; }
+  bool streaming() const noexcept { return streaming_.load(std::memory_order_acquire); }
 
   struct StreamStats {
     std::uint64_t accepted = 0;   ///< frames enqueued since start_stream
@@ -166,10 +179,10 @@ class DataplaneEngine {
   /// malformed policy in one publication. Hitless under streaming.
   void adopt_rules(std::shared_ptr<const RuleSnapshot> snap);
 
-  /// Mirror handler. In batch mode mirrored packets are collected worker-
-  /// locally and delivered on the calling thread after the batch; in
-  /// streaming mode the handler runs on worker threads as frames complete.
-  /// Not safe to change while a stream is open or a batch is in flight.
+  /// Mirror handler. process_batch() hands mirrored frames to it on the
+  /// calling thread after the batch, in packet order; a stream runs it on
+  /// the worker thread, just before the frame's sink call. Not safe to
+  /// change while a stream is open or a batch is in flight.
   void set_mirror_handler(P4Switch::MirrorHandler handler);
 
   /// Periodic telemetry snapshot: when `snapshot_interval_batches` is set,
@@ -179,7 +192,8 @@ class DataplaneEngine {
   void set_snapshot_hook(std::function<void()> hook) { snapshot_hook_ = std::move(hook); }
 
   /// Copy merged engine state into the global telemetry registry: the
-  /// aggregate dataplane/cache gauges (via the workers' switches), per-
+  /// aggregate dataplane/cache/guard gauges (publish_dataplane_gauges() over
+  /// the merged worker shards), per-
   /// worker packet counts (`p4iot_engine_worker_packets{worker="i"}`) and
   /// ring-drop counts (`p4iot_engine_ring_dropped{worker="i"}`), and
   /// worker/batch gauges. Snapshot-time only, never on the hot path.
@@ -207,8 +221,6 @@ class DataplaneEngine {
   std::size_t ring_capacity() const noexcept { return ring_capacity_; }
 
  private:
-  enum class Mode : int { kIdle = 0, kBatch = 1, kStream = 2 };
-
   /// Immutable control-plane publication: everything the dataplane derives
   /// from the rule state, swapped through one atomic pointer.
   struct ControlPlan {
@@ -230,7 +242,7 @@ class DataplaneEngine {
     std::size_t count = 0;  ///< occupied slots
     std::uint64_t dropped = 0;
     mutable std::mutex m;
-    std::condition_variable data_cv;   ///< signalled on push and mode exit
+    std::condition_variable data_cv;   ///< signalled on push and stream close
     std::condition_variable space_cv;  ///< signalled on pop
   };
 
@@ -240,7 +252,6 @@ class DataplaneEngine {
     P4Switch sw;
     Ring ring;
     std::shared_ptr<const ControlPlan> plan;  ///< last plan adopted
-    std::vector<pkt::Packet> mirrored;        ///< drained post-batch
     std::vector<std::size_t> stage;           ///< per-call shard staging
   };
 
@@ -252,7 +263,7 @@ class DataplaneEngine {
                               std::span<const FieldRef> fields,
                               std::size_t worker_count) noexcept;
   void worker_main(std::size_t worker_index);
-  /// Drain the ring until the engine returns to kIdle with an empty ring.
+  /// Drain the ring until the stream closes with an empty ring.
   void ring_loop(Worker& w);
   /// Adopt the newest published plan into `w` if it changed (chunk boundary).
   void maybe_adopt(Worker& w);
@@ -265,6 +276,11 @@ class DataplaneEngine {
   std::size_t enqueue(std::span<const pkt::Packet> frames, std::uint64_t seq0,
                       bool allow_drop);
   void wake_all_rings();
+  /// Start workers delivering through `sink` (public streams and batches).
+  void open_stream(VerdictSink sink);
+  /// Wait until every accepted frame is delivered; returns (and clears) the
+  /// first exception a sink threw.
+  std::exception_ptr drain();
 
   /// Published plan pointer. Writers (rule calls) replace it under
   /// plan_mutex_ and then advance plan_gen_; readers check plan_gen_ first
@@ -297,28 +313,29 @@ class DataplaneEngine {
   std::size_t snapshot_interval_ = 0;
   std::size_t batches_since_snapshot_ = 0;
 
-  // Dispatch state. mode_ transitions happen under mutex_ (so parked
+  // Dispatch state. streaming_ transitions happen under mutex_ (so parked
   // workers can't miss the wakeup); workers park on work_cv_ while idle.
   std::vector<std::thread> threads_;
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::atomic<Mode> mode_{Mode::kIdle};
+  std::atomic<bool> streaming_{false};
   std::atomic<bool> stop_{false};
   std::size_t last_max_shard_ = 0;  ///< largest shard of the last enqueue
 
   // Delivery accounting. accepted_total_/push_seq_ belong to the producer
   // thread; delivered_total_ is written by workers under done_mutex_ and
   // awaited by flush/batch on done_cv_ — that lock is the happens-before
-  // edge that makes post-flush reads of worker state race-free.
+  // edge that makes post-flush reads of worker state race-free. It also
+  // guards delivery_error_, the first exception a sink threw.
   std::uint64_t push_seq_ = 0;
   std::uint64_t accepted_total_ = 0;
   std::uint64_t session_base_ = 0;  ///< accepted_total_ at start_stream
   mutable std::mutex done_mutex_;
   std::condition_variable done_cv_;
   std::uint64_t delivered_total_ = 0;
+  std::exception_ptr delivery_error_;
 
-  VerdictSink sink_;                      ///< streaming delivery
-  std::vector<Verdict>* out_ = nullptr;   ///< batch delivery (by seq)
+  VerdictSink sink_;  ///< the open stream's delivery (batches included)
 };
 
 }  // namespace p4iot::p4

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,31 @@ struct TableEntry {
   std::uint8_t attack_class = 0;
   std::string note;                ///< provenance (e.g. originating tree path)
 };
+
+/// The one match predicate for learned rules (the linear scan, the compiled
+/// index's candidate check and rule synthesis' validation pass): does
+/// `entry` match `values` under `keys`? Missing values read as zero, like
+/// the zero-padded parser. `entry.fields` holds one field per key.
+inline bool entry_matches(std::span<const KeySpec> keys, const TableEntry& entry,
+                          std::span<const std::uint64_t> values) noexcept {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto v = i < values.size() ? values[i] : 0;
+    const auto& f = entry.fields[i];
+    switch (keys[i].kind) {
+      case MatchKind::kExact:
+        if (v != f.value) return false;
+        break;
+      case MatchKind::kTernary:
+      case MatchKind::kLpm:
+        if ((v & f.mask) != f.value) return false;
+        break;
+      case MatchKind::kRange:
+        if (v < f.range_lo || v > f.range_hi) return false;
+        break;
+    }
+  }
+  return true;
+}
 
 /// The parser program: which fields to extract. The generated P4 parser
 /// advances through the byte stream and slices these out.

@@ -33,27 +33,6 @@ std::optional<MatchBackend> parse_match_backend(std::string_view name) noexcept 
   return std::nullopt;
 }
 
-bool entry_matches(std::span<const KeySpec> keys, const TableEntry& entry,
-                   std::span<const std::uint64_t> values) noexcept {
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto v = i < values.size() ? values[i] : 0;
-    const auto& f = entry.fields[i];
-    switch (keys[i].kind) {
-      case MatchKind::kExact:
-        if (v != f.value) return false;
-        break;
-      case MatchKind::kTernary:
-      case MatchKind::kLpm:
-        if ((v & f.mask) != f.value) return false;
-        break;
-      case MatchKind::kRange:
-        if (v < f.range_lo || v > f.range_hi) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 CompiledMatchEngine::CompiledMatchEngine(std::vector<KeySpec> keys)
     : keys_(std::move(keys)) {}
 

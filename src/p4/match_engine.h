@@ -55,12 +55,6 @@ enum class MatchBackend : std::uint8_t {
 const char* match_backend_name(MatchBackend backend) noexcept;
 std::optional<MatchBackend> parse_match_backend(std::string_view name) noexcept;
 
-/// The exact reference match predicate (shared by the linear scan and the
-/// compiled path's candidate verification): does `entry` match `values`
-/// under `keys`? Missing values read as zero, like the zero-padded parser.
-bool entry_matches(std::span<const KeySpec> keys, const TableEntry& entry,
-                   std::span<const std::uint64_t> values) noexcept;
-
 struct CompiledIndexStats {
   std::size_t groups = 0;           ///< live tuple-space groups
   std::size_t indexed_entries = 0;  ///< entries currently indexed

@@ -75,86 +75,64 @@ Verdict P4Switch::finish(const pkt::Packet& packet, LookupResult result,
 
 Verdict P4Switch::process(const pkt::Packet& packet) {
   // Sampled per-stage timing: one packet in 2^shift pays the clock reads
-  // (see telemetry.h); every other packet takes the plain path below.
-  if (stage_sampler_.should_sample()) return process_timed(packet);
+  // (see telemetry.h); every other packet takes the untimed instantiation.
+  return stage_sampler_.should_sample() ? classify<true>(packet)
+                                        : classify<false>(packet);
+}
 
+template <bool kTimed>
+Verdict P4Switch::classify(const pkt::Packet& packet) {
+  // kTimed only adds clock reads: verdicts and counters are identical on
+  // both instantiations (the differential tests cover both at shift 0).
+  [[maybe_unused]] std::uint64_t t0 = 0, t = 0;
+  if constexpr (kTimed) t0 = telemetry::now_ns();
   const bool malformed = packet.size() < min_frame_bytes_;
   const MalformedPolicy policy = table_.malformed_policy();
+  LookupResult result;
+  std::uint8_t attack_class = 0;
   if (malformed && policy != MalformedPolicy::kZeroPad) {
     // Fail-closed/fail-open short-circuit: the frame never reaches the
     // table, the flow cache or the rate guard, so a truncated header can
     // neither poison cached verdicts nor skew the guard's sketch.
-    const auto action = policy == MalformedPolicy::kFailClosed
-                            ? ActionOp::kDrop
-                            : ActionOp::kPermit;
-    return finish(packet, LookupResult{action, -1}, 0, true);
-  }
-
-  program_.parser.extract_into(packet.view(), scratch_values_);
-  auto result = lookup_cached(scratch_values_, nullptr);
-  std::uint8_t attack_class =
-      result.entry_index >= 0
-          ? table_.entries()[static_cast<std::size_t>(result.entry_index)].attack_class
-          : 0;
-
-  // Stateful stage: only traffic the table lets through is rate-counted
-  // (dropped traffic never reaches the guard's registers).
-  if (rate_guard_ && result.action != ActionOp::kDrop &&
-      rate_guard_->observe(packet.view(), packet.timestamp_s)) {
-    result.action = rate_guard_->spec().action;
-    result.entry_index = -1;
-    attack_class = 0;
-    if (result.action == ActionOp::kDrop) ++stats_.rate_guard_drops;
-  }
-
-  return finish(packet, result, attack_class, malformed);
-}
-
-Verdict P4Switch::process_timed(const pkt::Packet& packet) {
-  // Mirrors process() with per-stage clock reads; verdicts and counters are
-  // identical (the differential tests cover both paths at shift 0).
-  const std::uint64_t t0 = telemetry::now_ns();
-  const bool malformed = packet.size() < min_frame_bytes_;
-  const MalformedPolicy policy = table_.malformed_policy();
-  if (malformed && policy != MalformedPolicy::kZeroPad) {
-    const auto action = policy == MalformedPolicy::kFailClosed
-                            ? ActionOp::kDrop
-                            : ActionOp::kPermit;
-    const auto verdict = finish(packet, LookupResult{action, -1}, 0, true);
-    stage_metrics_.packet->record(telemetry::now_ns() - t0);
-    return verdict;
-  }
-
-  program_.parser.extract_into(packet.view(), scratch_values_);
-  const std::uint64_t t1 = telemetry::now_ns();
-  stage_metrics_.parse->record(t1 - t0);
-
-  bool cache_hit = false;
-  auto result = lookup_cached(scratch_values_, &cache_hit);
-  const std::uint64_t t2 = telemetry::now_ns();
-  auto* scan_histogram = table_.match_backend() == MatchBackend::kCompiled
-                             ? stage_metrics_.tcam_scan_compiled
-                             : stage_metrics_.tcam_scan;
-  (cache_hit ? stage_metrics_.cache_hit : scan_histogram)->record(t2 - t1);
-
-  std::uint8_t attack_class =
-      result.entry_index >= 0
-          ? table_.entries()[static_cast<std::size_t>(result.entry_index)].attack_class
-          : 0;
-
-  if (rate_guard_) {
-    if (result.action != ActionOp::kDrop &&
-        rate_guard_->observe(packet.view(), packet.timestamp_s)) {
-      result.action = rate_guard_->spec().action;
-      result.entry_index = -1;
-      attack_class = 0;
-      if (result.action == ActionOp::kDrop) ++stats_.rate_guard_drops;
+    result = {policy == MalformedPolicy::kFailClosed ? ActionOp::kDrop
+                                                     : ActionOp::kPermit,
+              -1};
+  } else {
+    program_.parser.extract_into(packet.view(), scratch_values_);
+    if constexpr (kTimed) {
+      t = telemetry::now_ns();
+      stage_metrics_.parse->record(t - t0);
     }
-    stage_metrics_.guard->record(telemetry::now_ns() - t2);
+    bool cache_hit = false;
+    result = lookup_cached(scratch_values_, &cache_hit);
+    if constexpr (kTimed) {
+      const std::uint64_t t_lookup = telemetry::now_ns();
+      auto* scan_histogram = table_.match_backend() == MatchBackend::kCompiled
+                                 ? stage_metrics_.tcam_scan_compiled
+                                 : stage_metrics_.tcam_scan;
+      (cache_hit ? stage_metrics_.cache_hit : scan_histogram)->record(t_lookup - t);
+      t = t_lookup;
+    }
+    if (result.entry_index >= 0)
+      attack_class =
+          table_.entries()[static_cast<std::size_t>(result.entry_index)].attack_class;
+
+    // Stateful stage: only traffic the table lets through is rate-counted
+    // (dropped traffic never reaches the guard's registers).
+    if (rate_guard_) {
+      if (result.action != ActionOp::kDrop &&
+          rate_guard_->observe(packet.view(), packet.timestamp_s)) {
+        result.action = rate_guard_->spec().action;
+        result.entry_index = -1;
+        attack_class = 0;
+        if (result.action == ActionOp::kDrop) ++stats_.rate_guard_drops;
+      }
+      if constexpr (kTimed) stage_metrics_.guard->record(telemetry::now_ns() - t);
+    }
   }
 
-  const auto verdict = finish(packet, result, attack_class, malformed);
-  stage_metrics_.packet->record(telemetry::now_ns() - t0);
+  const Verdict verdict = finish(packet, result, attack_class, malformed);
+  if constexpr (kTimed) stage_metrics_.packet->record(telemetry::now_ns() - t0);
   return verdict;
 }
 
@@ -195,25 +173,43 @@ void P4Switch::reset_stats() {
 }
 
 void P4Switch::publish_telemetry() const {
+  DataplaneGauges gauges;
+  gauges.stats = stats_;
+  gauges.table = &table_;
+  if (flow_cache_) {
+    gauges.cache = flow_cache_->stats();
+    gauges.cache_occupancy = flow_cache_->occupancy();
+    gauges.cache_capacity = flow_cache_->capacity();
+  }
+  if (rate_guard_) {
+    gauges.guard = &rate_guard_->spec();
+    gauges.guard_tripped = rate_guard_->tripped_count();
+    gauges.guard_sketch_load = rate_guard_->sketch().load_factor();
+  }
+  publish_dataplane_gauges(gauges);
+}
+
+void publish_dataplane_gauges(const DataplaneGauges& g) {
   auto& reg = telemetry::Registry::global();
-  reg.set_gauge("p4iot_dataplane_packets_total", static_cast<double>(stats_.packets),
+  const SwitchStats& stats = g.stats;
+  reg.set_gauge("p4iot_dataplane_packets_total", static_cast<double>(stats.packets),
                 "Packets processed (absolute count at snapshot time)");
-  reg.set_gauge("p4iot_dataplane_permitted_total", static_cast<double>(stats_.permitted));
-  reg.set_gauge("p4iot_dataplane_dropped_total", static_cast<double>(stats_.dropped));
-  reg.set_gauge("p4iot_dataplane_mirrored_total", static_cast<double>(stats_.mirrored));
-  reg.set_gauge("p4iot_dataplane_malformed_total", static_cast<double>(stats_.malformed));
+  reg.set_gauge("p4iot_dataplane_permitted_total", static_cast<double>(stats.permitted));
+  reg.set_gauge("p4iot_dataplane_dropped_total", static_cast<double>(stats.dropped));
+  reg.set_gauge("p4iot_dataplane_mirrored_total", static_cast<double>(stats.mirrored));
+  reg.set_gauge("p4iot_dataplane_malformed_total", static_cast<double>(stats.malformed));
   reg.set_gauge("p4iot_dataplane_rate_guard_drops_total",
-                static_cast<double>(stats_.rate_guard_drops));
-  reg.set_gauge("p4iot_dataplane_bytes_in_total", static_cast<double>(stats_.bytes_in));
+                static_cast<double>(stats.rate_guard_drops));
+  reg.set_gauge("p4iot_dataplane_bytes_in_total", static_cast<double>(stats.bytes_in));
   reg.set_gauge("p4iot_dataplane_bytes_forwarded_total",
-                static_cast<double>(stats_.bytes_forwarded));
+                static_cast<double>(stats.bytes_forwarded));
   reg.set_gauge("p4iot_dataplane_table_entries",
-                static_cast<double>(table_.entry_count()),
+                static_cast<double>(g.table->entry_count()),
                 "Installed firewall rules");
   reg.set_gauge("p4iot_dataplane_match_backend",
-                static_cast<double>(static_cast<int>(table_.match_backend())),
+                static_cast<double>(static_cast<int>(g.table->match_backend())),
                 "Active lookup backend (0 = linear scan, 1 = compiled)");
-  if (const CompiledMatchEngine* index = table_.compiled_index()) {
+  if (const CompiledMatchEngine* index = g.table->compiled_index()) {
     reg.set_gauge("p4iot_match_groups", static_cast<double>(index->group_count()),
                   "Tuple-space groups in the compiled match index");
     reg.set_gauge("p4iot_match_index_rebuilds",
@@ -225,8 +221,8 @@ void P4Switch::publish_telemetry() const {
                   "Single-entry compiled-index updates applied in place");
   }
 
-  if (flow_cache_) {
-    const auto& cache = flow_cache_->stats();
+  if (g.cache) {
+    const FlowCacheStats& cache = *g.cache;
     reg.set_gauge("p4iot_flow_cache_hits_total", static_cast<double>(cache.hits),
                   "Flow-verdict cache hits");
     reg.set_gauge("p4iot_flow_cache_misses_total", static_cast<double>(cache.misses));
@@ -237,19 +233,18 @@ void P4Switch::publish_telemetry() const {
     reg.set_gauge("p4iot_flow_cache_hit_rate", cache.hit_rate(),
                   "Hits / (hits + misses)");
     reg.set_gauge("p4iot_flow_cache_occupancy",
-                  static_cast<double>(flow_cache_->occupancy()), "Valid slots");
-    reg.set_gauge("p4iot_flow_cache_capacity",
-                  static_cast<double>(flow_cache_->capacity()));
+                  static_cast<double>(g.cache_occupancy), "Valid slots");
+    reg.set_gauge("p4iot_flow_cache_capacity", static_cast<double>(g.cache_capacity));
   }
 
-  if (rate_guard_) {
+  if (g.guard) {
     reg.set_gauge("p4iot_rate_guard_tripped_total",
-                  static_cast<double>(rate_guard_->tripped_count()),
+                  static_cast<double>(g.guard_tripped),
                   "Times a key crossed the guard threshold");
-    reg.set_gauge("p4iot_rate_guard_sketch_load", rate_guard_->sketch().load_factor(),
-                  "Fraction of sketch counters non-zero (saturation)");
-    reg.set_gauge("p4iot_rate_guard_threshold",
-                  static_cast<double>(rate_guard_->spec().threshold));
+    reg.set_gauge("p4iot_rate_guard_sketch_load", g.guard_sketch_load,
+                  "Fraction of sketch counters non-zero (saturation; mean "
+                  "over engine workers)");
+    reg.set_gauge("p4iot_rate_guard_threshold", static_cast<double>(g.guard->threshold));
   }
 }
 

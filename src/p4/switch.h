@@ -12,6 +12,12 @@
 //     would have; any rule mutation invalidates it via the table version;
 //   * process_batch(), which amortizes per-packet overhead and feeds the
 //     multi-worker DataplaneEngine (see p4/engine.h).
+//
+// process() has one classification body (malformed short-circuit, cached
+// lookup, attack-class read, rate guard); sampled stage timing is a
+// compile-time branch inside it. peek() is a separate, counter-free
+// implementation kept on purpose: it is the reference the differential
+// tests and the benchmark's verdict check compare process() against.
 #pragma once
 
 #include <cstdint>
@@ -142,10 +148,10 @@ class P4Switch {
 
   /// Copy this switch's instantaneous state (verdict counters, flow-cache
   /// hit rate and occupancy, rate-guard saturation) into the global
-  /// telemetry registry as `p4iot_dataplane_*` / `p4iot_flow_cache_*` /
-  /// `p4iot_rate_guard_*` gauges. Called at snapshot/export time, never on
-  /// the packet path. Per-stage latency histograms are registry-resident
-  /// and need no publishing (see telemetry.h for the sampling budget).
+  /// telemetry registry through publish_dataplane_gauges(). Called at
+  /// snapshot/export time, never on the packet path. Per-stage latency
+  /// histograms are registry-resident and need no publishing (see
+  /// telemetry.h for the sampling budget).
   void publish_telemetry() const;
 
   /// Deterministic single-packet pipeline cost in model cycles: one cycle
@@ -160,7 +166,10 @@ class P4Switch {
                              bool* cache_hit);
   Verdict finish(const pkt::Packet& packet, LookupResult result,
                  std::uint8_t attack_class, bool malformed);
-  Verdict process_timed(const pkt::Packet& packet);
+  /// The one classification body behind process(); kTimed adds the sampled
+  /// per-stage clock reads and nothing else.
+  template <bool kTimed>
+  Verdict classify(const pkt::Packet& packet);
 
   /// Registry-resident per-stage latency series, shared by every switch
   /// instance (engine workers record into the same histograms, which makes
@@ -186,5 +195,22 @@ class P4Switch {
   StageMetrics stage_metrics_ = StageMetrics::acquire();
   common::telemetry::StageSampler stage_sampler_;
 };
+
+/// Inputs of the dataplane gauges: one switch's state, or an engine's
+/// worker replicas merged (counters summed, sketch load averaged).
+struct DataplaneGauges {
+  SwitchStats stats;
+  const MatchActionTable* table = nullptr;  ///< entries, backend, index
+  std::optional<FlowCacheStats> cache;      ///< nullopt = no flow cache
+  std::size_t cache_occupancy = 0;
+  std::size_t cache_capacity = 0;
+  const RateGuardSpec* guard = nullptr;     ///< null = no rate guard
+  std::uint64_t guard_tripped = 0;
+  double guard_sketch_load = 0.0;
+};
+
+/// The one writer of the `p4iot_dataplane_*`, `p4iot_match_*`,
+/// `p4iot_flow_cache_*` and `p4iot_rate_guard_*` gauges.
+void publish_dataplane_gauges(const DataplaneGauges& gauges);
 
 }  // namespace p4iot::p4

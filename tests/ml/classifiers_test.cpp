@@ -4,6 +4,8 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "common/rng.h"
 #include "ml/fixed_field.h"
@@ -36,6 +38,11 @@ struct NamedFactory {
   std::string name;
   ClassifierFactory make;
 };
+
+// gtest appends the printed parameter to each test name. Print the name,
+// not the default byte dump, which holds heap and code addresses and so
+// changes the test list from build to build.
+void PrintTo(const NamedFactory& factory, std::ostream* os) { *os << factory.name; }
 
 class ClassifierBehaviour : public ::testing::TestWithParam<NamedFactory> {};
 

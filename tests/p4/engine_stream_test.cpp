@@ -320,6 +320,35 @@ TEST(DataplaneEngineStream, MidStreamSwapKeepsVerdictsAndCounterCredit) {
   EXPECT_EQ(engine.default_hits(), seq.table().default_hits());
 }
 
+TEST(DataplaneEngineStream, ThrowingSinkIsContainedAndRethrownOnFlush) {
+  const auto traffic = fuzz_corpus(2000, 0xbeef07);
+  DataplaneEngine engine(ethernet_program(), EngineConfig{.workers = 2});
+  ASSERT_EQ(engine.install_rules(ethernet_rules()), TableWriteStatus::kOk);
+
+  std::atomic<std::uint64_t> calls{0};
+  engine.start_stream([&calls](std::uint64_t seq, const pkt::Packet&, const Verdict&) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    if (seq == 100) throw std::runtime_error("sink failed at frame 100");
+  });
+  EXPECT_EQ(engine.stream_push(std::span(traffic)), traffic.size());
+  // The worker survives the throw, every accepted frame is accounted for,
+  // and the error surfaces on the caller exactly once.
+  EXPECT_THROW(engine.stream_flush(), std::runtime_error);
+  EXPECT_EQ(calls.load(), traffic.size());
+  auto ss = engine.stream_stats();
+  EXPECT_EQ(ss.accepted, traffic.size());
+  EXPECT_EQ(ss.delivered, traffic.size());
+  EXPECT_NO_THROW(engine.stream_flush());
+
+  // The stream keeps serving after the error (seq 100 is behind it now).
+  EXPECT_EQ(engine.stream_push(std::span(traffic)), traffic.size());
+  EXPECT_NO_THROW(engine.stop_stream());
+  EXPECT_EQ(calls.load(), 2 * traffic.size());
+  ss = engine.stream_stats();
+  EXPECT_EQ(ss.delivered, 2 * traffic.size());
+  EXPECT_EQ(engine.stats().packets, 2 * traffic.size());
+}
+
 TEST(DataplaneEngineStream, ModeMisuseThrows) {
   const auto program = ethernet_program();
   DataplaneEngine engine(program, EngineConfig{.workers = 2});

@@ -251,7 +251,7 @@ TEST(DataplaneEngine, MirroredPacketsDeliveredOnCallerThread) {
 
 TEST(ProcessBatch, TimedSamplingPathIsVerdictIdentical) {
   // With the sampling shift at 0 every packet takes the timed path
-  // (process_timed); it must stay verdict- and counter-identical to the
+  // (classify<true>); it must stay verdict- and counter-identical to the
   // untimed fast path.
   namespace telemetry = common::telemetry;
   const bool was_enabled = telemetry::stage_timing_enabled();
