@@ -15,12 +15,19 @@ using namespace p4iot;
 
 namespace {
 
+nn::MlpConfig fixture_mlp_config() {
+  nn::MlpConfig config;
+  config.hidden_sizes = {64, 32};
+  config.epochs = 10;
+  return config;
+}
+
 struct Fixture {
   pkt::Trace test;
   core::TwoStagePipeline pipeline;
   p4::P4Switch gateway{p4::P4Program{}, 1};
   ml::DecisionTree tree;
-  ml::MlpClassifier mlp{nn::MlpConfig{.hidden_sizes = {64, 32}, .epochs = 10}};
+  ml::MlpClassifier mlp{fixture_mlp_config()};
   ml::KnnClassifier knn;
   std::vector<std::vector<double>> samples;
 

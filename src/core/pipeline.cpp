@@ -47,25 +47,6 @@ int TwoStagePipeline::predict(const pkt::Packet& packet) const {
   return predict_values(rules_, values);
 }
 
-std::vector<int> TwoStagePipeline::predict_batch(
-    std::span<const pkt::Packet> packets) const {
-  std::vector<int> out(packets.size(), 0);
-  if (!trained()) return out;
-  p4::FlowVerdictCache cache;
-  std::vector<std::uint64_t> values;
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    rules_.program.parser.extract_into(packets[i].view(), values);
-    if (const p4::LookupResult* hit = cache.find(values)) {
-      out[i] = hit->action == p4::ActionOp::kDrop ? 1 : 0;
-      continue;
-    }
-    out[i] = predict_values(rules_, values);
-    // Memoize through the cache's LookupResult shape (entry index unused).
-    cache.insert(values, {out[i] ? p4::ActionOp::kDrop : p4::ActionOp::kPermit, 0});
-  }
-  return out;
-}
-
 double TwoStagePipeline::score(const pkt::Packet& packet) const {
   if (!trained() || !rules_.tree.trained()) return 0.0;
   const auto values = rules_.program.parser.extract(packet.view());

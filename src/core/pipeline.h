@@ -62,9 +62,6 @@ class TwoStagePipeline {
 
   /// Data-plane-equivalent verdict for one packet (rule-set peek).
   int predict(const pkt::Packet& packet) const;
-  /// Bulk predict: same verdicts as per-packet predict(), but with shared
-  /// parser scratch and a flow-verdict cache over the rule scan.
-  std::vector<int> predict_batch(std::span<const pkt::Packet> packets) const;
   /// Soft score from the stage-2 tree (for ROC analysis).
   double score(const pkt::Packet& packet) const;
 

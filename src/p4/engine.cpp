@@ -97,8 +97,8 @@ void DataplaneEngine::publish_plan() {
   plan_gen_.store(plan->gen, std::memory_order_release);
   // Workers pick the plan up at their next chunk boundary. When the engine
   // is idle the workers are parked and quiesced, so apply it here on the
-  // control thread: rule calls between batches then behave exactly like the
-  // pre-snapshot fan-out engine (every single-step counter carry included).
+  // control thread: after a rule call between batches every worker already
+  // serves, and counts against, the new version.
   if (!streaming()) for (auto& w : workers_) maybe_adopt(*w);
   metrics_.swap_ns->record(telemetry::now_ns() - t0);
 }

@@ -24,10 +24,9 @@
 //     spec and shard fields — through one atomic shared_ptr.
 //   * Worker replicas adopt the newest plan at chunk boundaries, never in
 //     the middle of a frame: a live rule swap is hitless. Per-entry hit
-//     counters live in per-worker shards keyed to the snapshot version;
-//     credit recorded against the outgoing rules is carried (single-step
-//     derivations) or archived (bulk replace / skipped versions) and stays
-//     queryable via hit_count_for_version().
+//     counters live in per-worker shards, one per snapshot version; on
+//     adoption the shard of the outgoing rules is archived and stays
+//     queryable via hit_count_for_version(), and counting restarts at zero.
 //
 // Delivery: there is one packet path. A worker pops a chunk from its ring,
 // classifies each frame with P4Switch::process() and hands the verdict to
@@ -269,7 +268,7 @@ class DataplaneEngine {
   void maybe_adopt(Worker& w);
   /// Build and publish a fresh plan from the control table + guard spec;
   /// fans the adoption out to the (quiesced) workers when the engine is
-  /// idle so single-step counter carries match the pre-snapshot engine.
+  /// idle, so every worker's counters move to the new version at once.
   void publish_plan();
   /// Shard `frames` and enqueue; `seq0` numbers them. Blocking push unless
   /// `allow_drop`. Returns frames accepted.

@@ -29,10 +29,9 @@
 // different winner than the linear scan (the property-based differential
 // suite in tests/p4/match_property_test.cpp proves it on random rule sets).
 //
-// The index rebuilds incrementally on single-entry table writes (indices
-// shift, the new entry joins its group) and fully on bulk replace/clear,
-// keyed to the same MatchActionTable::version() epoch that invalidates the
-// flow-verdict cache.
+// The index is an immutable value built once from a complete entry set:
+// every rule mutation publishes a fresh RuleSnapshot (p4/rule_snapshot.h)
+// and builds the index for it, so there is no in-place maintenance.
 #pragma once
 
 #include <cstdint>
@@ -55,42 +54,21 @@ enum class MatchBackend : std::uint8_t {
 const char* match_backend_name(MatchBackend backend) noexcept;
 std::optional<MatchBackend> parse_match_backend(std::string_view name) noexcept;
 
-struct CompiledIndexStats {
-  std::size_t groups = 0;           ///< live tuple-space groups
-  std::size_t indexed_entries = 0;  ///< entries currently indexed
-  std::uint64_t full_rebuilds = 0;
-  std::uint64_t incremental_inserts = 0;
-  std::uint64_t incremental_erases = 0;
-};
-
 class CompiledMatchEngine {
  public:
   static constexpr std::size_t knpos = static_cast<std::size_t>(-1);
 
-  explicit CompiledMatchEngine(std::vector<KeySpec> keys);
-
-  /// Rebuild the whole index from `entries` (bulk replace/clear/initial
-  /// build). `version` is the owning table's epoch at build time.
-  void rebuild(std::span<const TableEntry> entries, std::uint64_t version);
-
-  /// Entry at `index` was just inserted; `entries` is the post-insert set.
-  /// Stored indices >= index shift up and the new entry joins its group.
-  void on_insert(std::span<const TableEntry> entries, std::size_t index,
-                 std::uint64_t version);
-  /// Entry at `index` is about to be removed; `entries` is the pre-erase
-  /// set. The entry leaves its group and stored indices > index shift down.
-  void on_erase(std::span<const TableEntry> entries, std::size_t index,
-                std::uint64_t version);
+  /// Index `entries` (priority-sorted, as a table holds them) under `keys`.
+  CompiledMatchEngine(std::vector<KeySpec> keys, std::span<const TableEntry> entries);
 
   /// Index of the highest-priority entry matching `values` (lowest table
   /// index, identical winner to the linear scan), or knpos for none.
+  /// `entries` must be the set the index was built from.
   std::size_t find(std::span<const std::uint64_t> values,
                    std::span<const TableEntry> entries) const;
 
-  /// Table epoch the index was last synchronized to.
-  std::uint64_t synced_version() const noexcept { return synced_version_; }
-  const CompiledIndexStats& stats() const noexcept { return stats_; }
-  std::size_t group_count() const noexcept { return stats_.groups; }
+  /// Tuple-space groups (distinct mask signatures) in the index.
+  std::size_t group_count() const noexcept { return groups_.size(); }
 
  private:
   struct Group {
@@ -101,23 +79,8 @@ class CompiledMatchEngine {
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
   };
 
-  std::vector<std::uint64_t> entry_signature(const TableEntry& entry) const;
-  std::uint64_t hash_masked(std::span<const std::uint64_t> values,
-                            std::span<const std::uint64_t> masks) const noexcept;
-  std::uint64_t entry_hash(const TableEntry& entry,
-                           std::span<const std::uint64_t> masks) const noexcept;
-  /// Group with exactly `masks`, creating it if absent; returns its id.
-  std::size_t group_for(std::vector<std::uint64_t> masks);
-  void refresh_min_index(Group& group) noexcept;
-  void sort_probe_order();
-
   std::vector<KeySpec> keys_;
-  std::vector<Group> groups_;             ///< stable ids; may contain dead slots
-  std::vector<std::uint32_t> probe_order_;  ///< live group ids by min_index asc
-  /// Signature hash → group ids with that hash (verified by mask compare).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> signature_index_;
-  std::uint64_t synced_version_ = 0;
-  CompiledIndexStats stats_;
+  std::vector<Group> groups_;  ///< probe order: min_index ascending
 };
 
 }  // namespace p4iot::p4

@@ -5,9 +5,9 @@
 // malformed-frame policy and the active lookup backend) lives in one
 // immutable RuleSnapshot held through shared_ptr<const RuleSnapshot>.
 // Writers never mutate a published snapshot: every table mutation builds a
-// fresh snapshot from the current one (copy-on-write) and publishes the new
-// pointer; readers pin a snapshot for a batch/chunk and keep serving the old
-// rules until they adopt the new pointer at a chunk boundary. This is what
+// fresh snapshot from the complete entry set and publishes the new pointer;
+// readers pin a snapshot for a batch/chunk and keep serving the old rules
+// until they adopt the new pointer at a chunk boundary. This is what
 // makes live rule swaps hitless — there is no instant at which a reader can
 // observe a half-installed rule set.
 //
@@ -18,11 +18,11 @@
 // control table, a controller candidate switch). Backend and policy changes
 // reuse the parent's version because they are verdict-preserving.
 //
-// Counter provenance: per-entry hit counters do NOT live in the snapshot
-// (they are mutable, per-reader state). Instead the snapshot records how its
-// entry set derives from its parent (`parent_version`, `parent_map`,
-// `reset_counters`) so each reader can carry its local counter shard across
-// an adoption — credit recorded against the old snapshot survives the swap.
+// Hit counters do NOT live in the snapshot (they are mutable, per-reader
+// state). Each reader keeps one counter shard per version: adopting a new
+// version archives the outgoing shard (MatchActionTable::hits_for_version)
+// and counting restarts at zero, so credit stays attributable to the exact
+// rule set that earned it.
 #pragma once
 
 #include <cstdint>
@@ -57,18 +57,6 @@ struct RuleSnapshot {
   /// parent's version so caches keyed to it stay valid.
   std::uint64_t version = 0;
 
-  // -- counter-carry provenance -------------------------------------------
-  /// Version this snapshot was derived from (== version for a root).
-  std::uint64_t parent_version = 0;
-  /// True when the producing mutation restarts per-entry counters (bulk
-  /// replace / clear — the historical table semantics). Adopting readers
-  /// archive their current shard instead of carrying it.
-  bool reset_counters = false;
-  /// New entry index → parent entry index (-1 = freshly inserted entry).
-  /// Empty means identity: same entry set as the parent.
-  std::vector<std::int32_t> parent_map;
-
-  // -- match semantics ----------------------------------------------------
   /// Key schema, shared across every snapshot of one table lineage.
   std::shared_ptr<const std::vector<KeySpec>> keys;
   std::vector<TableEntry> entries;  ///< kept sorted by priority desc

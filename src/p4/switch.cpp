@@ -212,13 +212,6 @@ void publish_dataplane_gauges(const DataplaneGauges& g) {
   if (const CompiledMatchEngine* index = g.table->compiled_index()) {
     reg.set_gauge("p4iot_match_groups", static_cast<double>(index->group_count()),
                   "Tuple-space groups in the compiled match index");
-    reg.set_gauge("p4iot_match_index_rebuilds",
-                  static_cast<double>(index->stats().full_rebuilds),
-                  "Full compiled-index rebuilds");
-    reg.set_gauge("p4iot_match_index_incremental_updates",
-                  static_cast<double>(index->stats().incremental_inserts +
-                                      index->stats().incremental_erases),
-                  "Single-entry compiled-index updates applied in place");
   }
 
   if (g.cache) {

@@ -10,8 +10,9 @@
 //     priority scan (see p4/flow_cache.h) — a cache hit skips the linear
 //     scan entirely and credits the same per-entry hit counter the scan
 //     would have; any rule mutation invalidates it via the table version;
-//   * process_batch(), which amortizes per-packet overhead and feeds the
-//     multi-worker DataplaneEngine (see p4/engine.h).
+//   * the tuple-space compiled index (see p4/match_engine.h).
+// process_batch() is a convenience loop over process(); the multi-worker
+// DataplaneEngine (see p4/engine.h) calls process() per frame.
 //
 // process() has one classification body (malformed short-circuit, cached
 // lookup, attack-class read, rate guard); sampled stage timing is a
@@ -68,8 +69,8 @@ class P4Switch {
 
   /// Process one packet through the pipeline.
   Verdict process(const pkt::Packet& packet);
-  /// Process a batch; verdicts come back in packet order. Identical to
-  /// calling process() per packet (proven by tests), cheaper in bulk.
+  /// Process a batch; verdicts come back in packet order. A plain loop
+  /// over process().
   std::vector<Verdict> process_batch(std::span<const pkt::Packet> batch);
   void process_batch(std::span<const pkt::Packet> batch, std::span<Verdict> out);
   /// Process without touching statistics or counters (analysis/what-if).
@@ -88,8 +89,8 @@ class P4Switch {
   /// Install a rule snapshot built elsewhere (the engine's control plane or
   /// a controller candidate switch) without rebuilding it: entries, compiled
   /// index, default action, backend and malformed policy all swap in one
-  /// pointer publication, and this switch's hit-counter shard is carried or
-  /// retired per the snapshot's provenance (see MatchActionTable). The flow
+  /// pointer publication, and this switch's hit-counter shard for the old
+  /// version is archived (see MatchActionTable::hits_for_version). The flow
   /// cache notices the version change on the next packet and invalidates —
   /// this is the hitless-swap entry point.
   void adopt_rules(std::shared_ptr<const RuleSnapshot> snap) {
@@ -135,7 +136,6 @@ class P4Switch {
   /// Flow-verdict cache (off by default to keep the single-packet model
   /// faithful to an uncached TCAM; the DataplaneEngine turns it on).
   void enable_flow_cache(std::size_t capacity = 4096);
-  void disable_flow_cache() noexcept { flow_cache_.reset(); }
   bool flow_cache_enabled() const noexcept { return flow_cache_ != nullptr; }
   /// nullptr when the cache is disabled.
   const FlowVerdictCache* flow_cache() const noexcept { return flow_cache_.get(); }

@@ -29,7 +29,6 @@ MatchActionTable::MatchActionTable(std::string name, std::vector<KeySpec> keys,
     : name_(std::move(name)), capacity_(capacity) {
   auto root = std::make_shared<RuleSnapshot>();
   root->version = next_rule_version();
-  root->parent_version = root->version;
   root->keys = std::make_shared<const std::vector<KeySpec>>(std::move(keys));
   root->default_action = default_action;
   snap_ = std::move(root);
@@ -83,114 +82,23 @@ TableWriteStatus MatchActionTable::validate(const TableEntry& entry) const {
   return TableWriteStatus::kOk;
 }
 
-std::shared_ptr<RuleSnapshot> MatchActionTable::derive() const {
-  auto next = std::make_shared<RuleSnapshot>();
-  next->version = next_rule_version();
-  next->parent_version = snap_->version;
-  next->keys = snap_->keys;
-  next->entries = snap_->entries;
-  next->default_action = snap_->default_action;
-  next->malformed_policy = snap_->malformed_policy;
-  next->backend = snap_->backend;
-  return next;
-}
-
-void MatchActionTable::carry_compiled(RuleSnapshot& next,
-                                      std::optional<std::size_t> inserted,
-                                      std::optional<std::size_t> erased) const {
-  if (next.backend != MatchBackend::kCompiled) return;
-  if (snap_->compiled && (inserted || erased)) {
-    // Incremental: copy the parent's index and apply the single-entry delta
-    // (the published parent index is immutable, so the update lands on a
-    // private copy).
-    auto compiled = std::make_shared<CompiledMatchEngine>(*snap_->compiled);
-    if (erased) compiled->on_erase(snap_->entries, *erased, next.version);
-    if (inserted) compiled->on_insert(next.entries, *inserted, next.version);
-    next.compiled = std::move(compiled);
-    return;
-  }
-  auto compiled = std::make_shared<CompiledMatchEngine>(*next.keys);
-  compiled->rebuild(next.entries, next.version);
-  next.compiled = std::move(compiled);
-}
-
-void MatchActionTable::archive_current_shard() {
-  bool any = default_hits_ != 0;
-  for (const auto h : hits_) any = any || h != 0;
-  if (!any) return;
-  if (retired_.size() >= kMaxRetiredShards) retired_.erase(retired_.begin());
-  retired_.push_back({snap_->version, hits_, default_hits_});
-}
-
 void MatchActionTable::publish(std::shared_ptr<const RuleSnapshot> next) {
-  // Re-shape the local counter shard to the incoming entry set before the
-  // pointer goes live, so counters and entries always agree.
+  // Each rule version counts into its own shard: a version change archives
+  // the outgoing shard (queryable through hits_for_version) and starts a
+  // zeroed one before the pointer goes live, so counters and entries always
+  // agree. Verdict-preserving changes keep the version and the shard.
   if (next->version != snap_->version) {
-    if (next->parent_version == snap_->version && !next->reset_counters) {
-      if (!next->parent_map.empty()) {
-        std::vector<std::uint64_t> carried(next->entries.size(), 0);
-        for (std::size_t i = 0; i < next->parent_map.size(); ++i) {
-          const auto parent = next->parent_map[i];
-          if (parent >= 0 && static_cast<std::size_t>(parent) < hits_.size())
-            carried[i] = hits_[static_cast<std::size_t>(parent)];
-        }
-        hits_ = std::move(carried);
-      }
-      // Empty parent_map = identity (e.g. default-action change): keep.
-    } else {
-      // Bulk replace / clear, or a snapshot that skipped versions (a stream
-      // reader adopting the latest of several control writes): credit for
-      // the outgoing rules is retired, counting restarts at zero.
-      archive_current_shard();
-      hits_.assign(next->entries.size(), 0);
-      default_hits_ = 0;
+    bool any = default_hits_ != 0;
+    for (const auto h : hits_) any = any || h != 0;
+    if (any) {
+      if (retired_.size() >= kMaxRetiredShards) retired_.erase(retired_.begin());
+      retired_.push_back({snap_->version, std::move(hits_), default_hits_});
     }
+    hits_.assign(next->entries.size(), 0);
+    default_hits_ = 0;
   }
   std::lock_guard lock(snap_mutex_);
   snap_ = std::move(next);
-}
-
-TableWriteStatus MatchActionTable::add_entry(TableEntry entry) {
-  if (snap_->entries.size() >= capacity_) return TableWriteStatus::kTableFull;
-  const auto status = validate(entry);
-  if (status != TableWriteStatus::kOk) return status;
-
-  auto next = derive();
-  // Insert keeping priority order (desc); stable for equal priorities.
-  const auto pos = std::upper_bound(
-      next->entries.begin(), next->entries.end(), entry,
-      [](const TableEntry& a, const TableEntry& b) { return a.priority > b.priority; });
-  const auto idx = static_cast<std::size_t>(pos - next->entries.begin());
-  next->entries.insert(pos, std::move(entry));
-  next->parent_map.resize(next->entries.size());
-  for (std::size_t i = 0; i < next->entries.size(); ++i) {
-    next->parent_map[i] = i == idx ? -1
-                          : i < idx ? static_cast<std::int32_t>(i)
-                                    : static_cast<std::int32_t>(i - 1);
-  }
-  carry_compiled(*next, idx, std::nullopt);
-  publish(std::move(next));
-  return TableWriteStatus::kOk;
-}
-
-bool MatchActionTable::remove_entry(std::size_t index) {
-  if (index >= snap_->entries.size()) return false;
-  auto next = derive();
-  next->entries.erase(next->entries.begin() + static_cast<std::ptrdiff_t>(index));
-  next->parent_map.resize(next->entries.size());
-  for (std::size_t i = 0; i < next->entries.size(); ++i)
-    next->parent_map[i] = static_cast<std::int32_t>(i < index ? i : i + 1);
-  carry_compiled(*next, std::nullopt, index);
-  publish(std::move(next));
-  return true;
-}
-
-void MatchActionTable::clear() {
-  auto next = derive();
-  next->entries.clear();
-  next->reset_counters = true;
-  carry_compiled(*next, std::nullopt, std::nullopt);
-  publish(std::move(next));
 }
 
 TableWriteStatus MatchActionTable::replace_entries(std::vector<TableEntry> entries) {
@@ -203,13 +111,35 @@ TableWriteStatus MatchActionTable::replace_entries(std::vector<TableEntry> entri
                    [](const TableEntry& a, const TableEntry& b) {
                      return a.priority > b.priority;
                    });
-  auto next = derive();
+  auto next = std::make_shared<RuleSnapshot>();
+  next->version = next_rule_version();
+  next->keys = snap_->keys;
   next->entries = std::move(entries);
-  next->reset_counters = true;
-  carry_compiled(*next, std::nullopt, std::nullopt);
+  next->default_action = snap_->default_action;
+  next->malformed_policy = snap_->malformed_policy;
+  next->backend = snap_->backend;
+  if (next->backend == MatchBackend::kCompiled)
+    next->compiled = std::make_shared<const CompiledMatchEngine>(*next->keys, next->entries);
   publish(std::move(next));
   return TableWriteStatus::kOk;
 }
+
+TableWriteStatus MatchActionTable::add_entry(TableEntry entry) {
+  // Appended, then stable-sorted by replace_entries(): the new entry lands
+  // after every existing entry of equal priority.
+  auto entries = snap_->entries;
+  entries.push_back(std::move(entry));
+  return replace_entries(std::move(entries));
+}
+
+bool MatchActionTable::remove_entry(std::size_t index) {
+  if (index >= snap_->entries.size()) return false;
+  auto entries = snap_->entries;
+  entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(index));
+  return replace_entries(std::move(entries)) == TableWriteStatus::kOk;
+}
+
+void MatchActionTable::clear() { replace_entries({}); }
 
 void MatchActionTable::set_match_backend(MatchBackend backend) {
   if (backend == snap_->backend) return;
@@ -217,11 +147,8 @@ void MatchActionTable::set_match_backend(MatchBackend backend) {
   auto next = std::make_shared<RuleSnapshot>(*snap_);
   next->backend = backend;
   next->compiled.reset();
-  if (backend == MatchBackend::kCompiled) {
-    auto compiled = std::make_shared<CompiledMatchEngine>(*next->keys);
-    compiled->rebuild(next->entries, next->version);
-    next->compiled = std::move(compiled);
-  }
+  if (backend == MatchBackend::kCompiled)
+    next->compiled = std::make_shared<const CompiledMatchEngine>(*next->keys, next->entries);
   publish(std::move(next));
 }
 
@@ -236,7 +163,9 @@ void MatchActionTable::set_malformed_policy(MalformedPolicy policy) {
 
 void MatchActionTable::set_default_action(ActionOp action) {
   if (action == snap_->default_action) return;
-  auto next = derive();
+  // New verdicts, same entries: a new version sharing the compiled index.
+  auto next = std::make_shared<RuleSnapshot>(*snap_);
+  next->version = next_rule_version();
   next->default_action = action;
   publish(std::move(next));
 }

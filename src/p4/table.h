@@ -7,14 +7,16 @@
 //
 // Rule-state ownership (see p4/rule_snapshot.h): the table's match semantics
 // — entries, compiled index, default action, backend, malformed policy —
-// live in an immutable RuleSnapshot behind a shared_ptr. Mutators build the
-// next snapshot copy-on-write and publish the pointer; snapshot() hands the
-// current pointer to other threads, and adopt_snapshot() installs a snapshot
-// built elsewhere (the engine's control table, a controller candidate)
-// without rebuilding it. Per-entry hit counters are the table's own mutable
-// shard, carried across adoptions via the snapshot's parent map so credit
-// recorded against the old rules survives a live swap; counters for retired
-// rule sets stay queryable through hits_for_version().
+// live in an immutable RuleSnapshot behind a shared_ptr. Every entry
+// mutation takes one path: validate, build a fresh snapshot (and its
+// compiled index) from the complete entry set, publish the pointer.
+// snapshot() hands the current pointer to other threads, and
+// adopt_snapshot() installs a snapshot built elsewhere (the engine's control
+// table, a controller candidate) without rebuilding it. Per-entry hit
+// counters are the table's own mutable shard, one per rule version: a
+// version change archives the outgoing shard and counting restarts at zero,
+// so credit recorded against retired rule sets stays queryable through
+// hits_for_version().
 //
 // Threading contract: mutators and counter updates (lookup/record_hit) are
 // single-writer, owner-thread only — exactly as before. snapshot() and
@@ -26,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,11 +64,13 @@ class MatchActionTable {
   MatchActionTable(MatchActionTable&& other) noexcept;
   MatchActionTable& operator=(MatchActionTable&& other) noexcept;
 
+  /// Replace the whole entry set atomically (controller reconfigurations).
+  /// Entries are stable-sorted by priority, highest first. The mutators
+  /// below are wrappers that compute the next entry set and call this.
+  TableWriteStatus replace_entries(std::vector<TableEntry> entries);
   TableWriteStatus add_entry(TableEntry entry);
   bool remove_entry(std::size_t index);
   void clear();
-  /// Replace the whole entry set atomically (controller reconfigurations).
-  TableWriteStatus replace_entries(std::vector<TableEntry> entries);
 
   /// Match extracted key values against the entries; updates hit counters.
   LookupResult lookup(std::span<const std::uint64_t> values);
@@ -88,8 +91,7 @@ class MatchActionTable {
   /// Select the lookup implementation: the priority-ordered linear scan
   /// (reference oracle) or the tuple-space compiled index. Switching never
   /// changes verdicts or counters — only lookup cost — so the table version
-  /// does not move. The compiled index tracks table writes incrementally
-  /// via the same epoch mechanism that invalidates the flow-verdict cache.
+  /// does not move. The compiled index is rebuilt with every new snapshot.
   void set_match_backend(MatchBackend backend);
   MatchBackend match_backend() const noexcept { return snap_->backend; }
   /// Compiled index introspection; nullptr while the backend is linear.
@@ -110,11 +112,9 @@ class MatchActionTable {
   /// across later mutations (the snapshot is immutable; mutators publish
   /// fresh ones). This is the reader half of the RCU protocol.
   std::shared_ptr<const RuleSnapshot> snapshot() const;
-  /// Install a snapshot built elsewhere (writer half of a live swap). The
-  /// local hit-counter shard is carried through the snapshot's parent map
-  /// when it derives from the currently installed version; otherwise the
-  /// shard is archived under the outgoing version (see hits_for_version)
-  /// and counting restarts — matching replace_entries() semantics.
+  /// Install a snapshot built elsewhere (writer half of a live swap). Like
+  /// every version change, it archives the local hit-counter shard under
+  /// the outgoing version (see hits_for_version) and counting restarts.
   void adopt_snapshot(std::shared_ptr<const RuleSnapshot> snap);
 
   const std::string& name() const noexcept { return name_; }
@@ -128,9 +128,9 @@ class MatchActionTable {
   std::uint64_t hit_count(std::size_t entry_index) const;
   std::uint64_t default_hits() const noexcept { return default_hits_; }
   /// Per-entry hits recorded against a specific snapshot version: the live
-  /// shard when `version` is current, else the archived shard retired by an
-  /// adoption/replace (zero when unknown or aged out). This is how counter
-  /// credit stays attributable across a hitless rule swap.
+  /// shard when `version` is current, else the archived shard retired by
+  /// the version change that replaced it (zero when unknown or aged out).
+  /// This is how counter credit stays attributable across a hitless swap.
   std::uint64_t hits_for_version(std::uint64_t version, std::size_t entry_index) const;
   std::uint64_t default_hits_for_version(std::uint64_t version) const;
   void reset_counters();
@@ -152,17 +152,9 @@ class MatchActionTable {
   static constexpr std::size_t kMaxRetiredShards = 4;
 
   TableWriteStatus validate(const TableEntry& entry) const;
-  /// Fresh snapshot pre-seeded from the current one (shared keys, copied
-  /// entries, carried action/policy/backend, version already advanced).
-  std::shared_ptr<RuleSnapshot> derive() const;
-  /// Rebuild/copy the compiled index into `next` if the backend needs one.
-  /// `inserted`/`erased` select the incremental update applied.
-  void carry_compiled(RuleSnapshot& next, std::optional<std::size_t> inserted,
-                      std::optional<std::size_t> erased) const;
-  /// Re-shape the local counter shard for `next` (carry / archive+reset),
-  /// then publish the pointer under the snapshot mutex.
+  /// Archive and restart the counter shard if `next` is a new version, then
+  /// publish the pointer under the snapshot mutex.
   void publish(std::shared_ptr<const RuleSnapshot> next);
-  void archive_current_shard();
 
   std::string name_ = "table";
   std::size_t capacity_ = 1024;

@@ -101,7 +101,9 @@ TEST(AttackIdentification, PermitVerdictsUntagged) {
   auto sw = pipeline.make_switch();
   for (const auto& p : test.packets()) {
     const auto verdict = sw.process(p);
-    if (verdict.entry_index < 0) EXPECT_EQ(verdict.attack_class, 0);
+    if (verdict.entry_index < 0) {
+      EXPECT_EQ(verdict.attack_class, 0);
+    }
   }
 }
 

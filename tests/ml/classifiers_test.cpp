@@ -261,7 +261,10 @@ TEST(FixedField, FailsOpenOnUnparseableFrames) {
 TEST(MlpClassifier, AutoScalesByteFeatures) {
   // Byte-range features (0..255) must be internally rescaled; training on
   // them should still work.
-  MlpClassifier clf(nn::MlpConfig{.hidden_sizes = {8}, .epochs = 20});
+  nn::MlpConfig config;
+  config.hidden_sizes = {8};
+  config.epochs = 20;
+  MlpClassifier clf(config);
   const auto train = blob_dataset(400, 13);
   clf.fit(train);
   const auto test = blob_dataset(200, 14);

@@ -93,8 +93,11 @@ TEST(DecisionTree, MinSamplesLeafEnforced) {
   config.min_samples_leaf = 20;
   DecisionTree tree(config);
   tree.fit(train);
-  for (const auto& node : tree.nodes())
-    if (node.is_leaf()) EXPECT_GE(node.samples, 20u);
+  for (const auto& node : tree.nodes()) {
+    if (node.is_leaf()) {
+      EXPECT_GE(node.samples, 20u);
+    }
+  }
 }
 
 TEST(DecisionTree, ConstantFeaturesYieldLeaf) {

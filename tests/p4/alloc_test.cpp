@@ -21,8 +21,10 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 // Every unaligned new/delete form is replaced, so that a runtime which
 // supplies its own allocator (the sanitizers do) never frees memory that
-// this malloc handed out, or the reverse.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+// this malloc handed out, or the reverse. The allocating form is out of
+// line, so the compiler never sees malloc() behind an inlined new and pairs
+// it with a delete (a false -Wmismatched-new-delete at -O3).
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }

@@ -136,8 +136,9 @@ TEST_P(FuzzDifferential, EveryPolicyYieldsDefinedVerdicts) {
         EXPECT_EQ(v.action, ActionOp::kDrop);
         EXPECT_EQ(v.entry_index, -1);
       }
-      if (is_short && policy == MalformedPolicy::kFailOpen)
+      if (is_short && policy == MalformedPolicy::kFailOpen) {
         EXPECT_EQ(v.action, ActionOp::kPermit);
+      }
     }
     EXPECT_EQ(sw.stats().malformed, malformed);
     EXPECT_EQ(sw.stats().packets, traffic.size());

@@ -116,8 +116,8 @@ TEST(TableProperties, HitCountersSumToLookups) {
 
   constexpr int kLookups = 500;
   for (int probe = 0; probe < kLookups; ++probe) {
-    std::vector<std::uint64_t> values;
-    for (const auto& key : keys) values.push_back(rng.next_u64());
+    std::vector<std::uint64_t> values(keys.size());
+    for (auto& v : values) v = rng.next_u64();
     table.lookup(values);
   }
   std::uint64_t total = table.default_hits();

@@ -12,12 +12,16 @@ std::vector<KeySpec> two_keys() {
   };
 }
 
+// Field vectors are move-assigned from a fresh vector rather than assigned
+// from a braced list: at -O3, GCC 12 reports a false -Wnonnull inside
+// vector::operator=(initializer_list) for a one-element list assigned to an
+// empty vector.
 TableEntry drop_entry(std::uint64_t port_value, std::uint64_t port_mask,
                       std::uint64_t flags_value, std::uint64_t flags_mask,
                       std::int32_t priority = 100) {
   TableEntry e;
-  e.fields = {MatchField{port_value, port_mask, 0, 0},
-              MatchField{flags_value, flags_mask, 0, 0}};
+  e.fields = std::vector<MatchField>{MatchField{port_value, port_mask, 0, 0},
+                                     MatchField{flags_value, flags_mask, 0, 0}};
   e.priority = priority;
   e.action = ActionOp::kDrop;
   return e;
@@ -70,7 +74,7 @@ TEST(MatchActionTable, ValidationRejectsBadEntries) {
   MatchActionTable table("t", two_keys(), 10);
 
   TableEntry wrong_arity;
-  wrong_arity.fields = {MatchField{1, 1, 0, 0}};
+  wrong_arity.fields = std::vector<MatchField>{MatchField{1, 1, 0, 0}};
   EXPECT_EQ(table.add_entry(wrong_arity), TableWriteStatus::kKeyMismatch);
 
   // Value wider than the 2-byte key.
@@ -86,7 +90,7 @@ TEST(MatchActionTable, ExactKindRequiresEquality) {
   std::vector<KeySpec> keys = {KeySpec{FieldRef{"f", 0, 2}, MatchKind::kExact}};
   MatchActionTable table("t", keys, 4);
   TableEntry e;
-  e.fields = {MatchField{0x1234, 0, 0, 0}};
+  e.fields = std::vector<MatchField>{MatchField{0x1234, 0, 0, 0}};
   e.action = ActionOp::kDrop;
   ASSERT_EQ(table.add_entry(e), TableWriteStatus::kOk);
   EXPECT_EQ(table.peek(std::vector<std::uint64_t>{0x1234}).action, ActionOp::kDrop);
@@ -98,12 +102,14 @@ TEST(MatchActionTable, LpmValidatesPrefixMask) {
   MatchActionTable table("t", keys, 4);
 
   TableEntry good;
-  good.fields = {MatchField{0x0a000000, 0xff000000, 0, 0}};  // 10.0.0.0/8
+  // 10.0.0.0/8
+  good.fields = std::vector<MatchField>{MatchField{0x0a000000, 0xff000000, 0, 0}};
   good.action = ActionOp::kDrop;
   EXPECT_EQ(table.add_entry(good), TableWriteStatus::kOk);
 
   TableEntry bad;
-  bad.fields = {MatchField{0, 0x00ff0000, 0, 0}};  // non-contiguous from left
+  // non-contiguous from left
+  bad.fields = std::vector<MatchField>{MatchField{0, 0x00ff0000, 0, 0}};
   EXPECT_EQ(table.add_entry(bad), TableWriteStatus::kInvalidField);
 
   EXPECT_EQ(table.peek(std::vector<std::uint64_t>{0x0a010203}).action, ActionOp::kDrop);
@@ -114,7 +120,7 @@ TEST(MatchActionTable, RangeKind) {
   std::vector<KeySpec> keys = {KeySpec{FieldRef{"len", 16, 2}, MatchKind::kRange}};
   MatchActionTable table("t", keys, 4);
   TableEntry e;
-  e.fields = {MatchField{0, 0, 100, 200}};
+  e.fields = std::vector<MatchField>{MatchField{0, 0, 100, 200}};
   e.action = ActionOp::kDrop;
   ASSERT_EQ(table.add_entry(e), TableWriteStatus::kOk);
   EXPECT_EQ(table.peek(std::vector<std::uint64_t>{100}).action, ActionOp::kDrop);
@@ -123,7 +129,7 @@ TEST(MatchActionTable, RangeKind) {
   EXPECT_EQ(table.peek(std::vector<std::uint64_t>{201}).action, ActionOp::kPermit);
 
   TableEntry inverted;
-  inverted.fields = {MatchField{0, 0, 5, 1}};
+  inverted.fields = std::vector<MatchField>{MatchField{0, 0, 5, 1}};
   EXPECT_EQ(table.add_entry(inverted), TableWriteStatus::kInvalidField);
 }
 
@@ -142,15 +148,41 @@ TEST(MatchActionTable, ReplaceEntriesAtomicAndSorted) {
   EXPECT_EQ(table.entry_count(), 2u);  // unchanged on failure
 }
 
-TEST(MatchActionTable, RemoveEntryShiftsCounters) {
+TEST(MatchActionTable, EachRuleVersionCountsInItsOwnShard) {
   MatchActionTable table("t", two_keys(), 10);
   table.add_entry(drop_entry(1, 0xffff, 0, 0, 200));
   table.add_entry(drop_entry(2, 0xffff, 0, 0, 100));
-  table.lookup(std::vector<std::uint64_t>{2, 0});  // hits entry index 1
+  const std::vector<std::uint64_t> second = {2, 0};
+  table.lookup(second);  // hits entry index 1
+
+  // remove_entry: the surviving entry starts a fresh count; the old
+  // version's credit stays readable under that version.
+  const auto before_remove = table.version();
   EXPECT_TRUE(table.remove_entry(0));
   EXPECT_EQ(table.entry_count(), 1u);
-  EXPECT_EQ(table.hit_count(0), 1u);  // the surviving entry kept its count
+  EXPECT_EQ(table.hit_count(0), 0u);
+  EXPECT_EQ(table.hits_for_version(before_remove, 1), 1u);
+  const auto after_remove = table.version();
   EXPECT_FALSE(table.remove_entry(5));
+  EXPECT_EQ(table.version(), after_remove);  // a failed write publishes nothing
+
+  // add_entry: the higher-priority newcomer shifts the survivor to index 1.
+  table.lookup(second);  // hits entry index 0
+  const auto before_add = table.version();
+  ASSERT_EQ(table.add_entry(drop_entry(3, 0xffff, 0, 0, 300)), TableWriteStatus::kOk);
+  EXPECT_EQ(table.hit_count(1), 0u);
+  EXPECT_EQ(table.hits_for_version(before_add, 0), 1u);
+
+  // set_default_action: a new version even though the entries are unchanged.
+  table.lookup(second);                              // hits entry index 1
+  table.lookup(std::vector<std::uint64_t>{9, 0});  // default action
+  const auto before_default = table.version();
+  table.set_default_action(ActionOp::kDrop);
+  EXPECT_NE(table.version(), before_default);
+  EXPECT_EQ(table.hit_count(1), 0u);
+  EXPECT_EQ(table.default_hits(), 0u);
+  EXPECT_EQ(table.hits_for_version(before_default, 1), 1u);
+  EXPECT_EQ(table.default_hits_for_version(before_default), 1u);
 }
 
 TEST(MatchActionTable, TcamAccounting) {
@@ -179,16 +211,16 @@ TEST(MatchActionTable, WidthValidationOneByteField) {
   std::vector<KeySpec> keys = {KeySpec{FieldRef{"f", 0, 1}, MatchKind::kExact}};
   MatchActionTable table("t", keys, 8);
   TableEntry max_value;
-  max_value.fields = {MatchField{0xff, 0, 0, 0}};
+  max_value.fields = std::vector<MatchField>{MatchField{0xff, 0, 0, 0}};
   EXPECT_EQ(table.add_entry(max_value), TableWriteStatus::kOk);
   TableEntry too_wide;
-  too_wide.fields = {MatchField{0x100, 0, 0, 0}};
+  too_wide.fields = std::vector<MatchField>{MatchField{0x100, 0, 0, 0}};
   EXPECT_EQ(table.add_entry(too_wide), TableWriteStatus::kInvalidField);
 
   std::vector<KeySpec> tkeys = {KeySpec{FieldRef{"f", 0, 1}, MatchKind::kTernary}};
   MatchActionTable ternary("t", tkeys, 8);
   TableEntry wide_mask;
-  wide_mask.fields = {MatchField{0, 0x1ff, 0, 0}};
+  wide_mask.fields = std::vector<MatchField>{MatchField{0, 0x1ff, 0, 0}};
   EXPECT_EQ(ternary.add_entry(wide_mask), TableWriteStatus::kInvalidField);
 }
 
@@ -196,10 +228,10 @@ TEST(MatchActionTable, WidthValidationFourByteField) {
   std::vector<KeySpec> keys = {KeySpec{FieldRef{"addr", 0, 4}, MatchKind::kTernary}};
   MatchActionTable table("t", keys, 8);
   TableEntry full;
-  full.fields = {MatchField{0xffffffffULL, 0xffffffffULL, 0, 0}};
+  full.fields = std::vector<MatchField>{MatchField{0xffffffffULL, 0xffffffffULL, 0, 0}};
   EXPECT_EQ(table.add_entry(full), TableWriteStatus::kOk);
   TableEntry over;
-  over.fields = {MatchField{0x1'0000'0000ULL, 0x1'ffff'ffffULL, 0, 0}};
+  over.fields = std::vector<MatchField>{MatchField{0x1'0000'0000ULL, 0x1'ffff'ffffULL, 0, 0}};
   EXPECT_EQ(table.add_entry(over), TableWriteStatus::kInvalidField);
 
   // LPM width is in bits: /32 on a 4-byte field is a valid full-length
@@ -207,10 +239,10 @@ TEST(MatchActionTable, WidthValidationFourByteField) {
   std::vector<KeySpec> lkeys = {KeySpec{FieldRef{"addr", 0, 4}, MatchKind::kLpm}};
   MatchActionTable lpm("t", lkeys, 8);
   TableEntry slash32;
-  slash32.fields = {MatchField{0x0a000001ULL, 0xffffffffULL, 0, 0}};
+  slash32.fields = std::vector<MatchField>{MatchField{0x0a000001ULL, 0xffffffffULL, 0, 0}};
   EXPECT_EQ(lpm.add_entry(slash32), TableWriteStatus::kOk);
   TableEntry spill;
-  spill.fields = {MatchField{0, 0x1'ffff'ffffULL, 0, 0}};
+  spill.fields = std::vector<MatchField>{MatchField{0, 0x1'ffff'ffffULL, 0, 0}};
   EXPECT_EQ(lpm.add_entry(spill), TableWriteStatus::kInvalidField);
 }
 
@@ -220,19 +252,19 @@ TEST(MatchActionTable, WidthValidationEightByteField) {
   std::vector<KeySpec> keys = {KeySpec{FieldRef{"wide", 0, 8}, MatchKind::kTernary}};
   MatchActionTable table("t", keys, 8);
   TableEntry full;
-  full.fields = {MatchField{~0ULL, ~0ULL, 0, 0}};
+  full.fields = std::vector<MatchField>{MatchField{~0ULL, ~0ULL, 0, 0}};
   EXPECT_EQ(table.add_entry(full), TableWriteStatus::kOk);
 
   std::vector<KeySpec> lkeys = {KeySpec{FieldRef{"wide", 0, 8}, MatchKind::kLpm}};
   MatchActionTable lpm("t", lkeys, 8);
   TableEntry slash64;
-  slash64.fields = {MatchField{1, ~0ULL, 0, 0}};
+  slash64.fields = std::vector<MatchField>{MatchField{1, ~0ULL, 0, 0}};
   EXPECT_EQ(lpm.add_entry(slash64), TableWriteStatus::kOk);
   TableEntry slash16;
-  slash16.fields = {MatchField{0x1234ULL << 48, 0xffffULL << 48, 0, 0}};
+  slash16.fields = std::vector<MatchField>{MatchField{0x1234ULL << 48, 0xffffULL << 48, 0, 0}};
   EXPECT_EQ(lpm.add_entry(slash16), TableWriteStatus::kOk);
   TableEntry gap;  // not left-contiguous within 64 bits
-  gap.fields = {MatchField{0, 0x00ff'0000'0000'0000ULL, 0, 0}};
+  gap.fields = std::vector<MatchField>{MatchField{0, 0x00ff'0000'0000'0000ULL, 0, 0}};
   EXPECT_EQ(lpm.add_entry(gap), TableWriteStatus::kInvalidField);
 }
 
@@ -240,10 +272,10 @@ TEST(MatchActionTable, WidthValidationRangeBounds) {
   std::vector<KeySpec> keys = {KeySpec{FieldRef{"len", 0, 1}, MatchKind::kRange}};
   MatchActionTable table("t", keys, 8);
   TableEntry in_range;
-  in_range.fields = {MatchField{0, 0, 0, 0xff}};
+  in_range.fields = std::vector<MatchField>{MatchField{0, 0, 0, 0xff}};
   EXPECT_EQ(table.add_entry(in_range), TableWriteStatus::kOk);
   TableEntry hi_too_wide;
-  hi_too_wide.fields = {MatchField{0, 0, 0, 0x100}};
+  hi_too_wide.fields = std::vector<MatchField>{MatchField{0, 0, 0, 0x100}};
   EXPECT_EQ(table.add_entry(hi_too_wide), TableWriteStatus::kInvalidField);
 }
 

@@ -100,8 +100,12 @@ TEST(Ethernet, ParseRejectsTruncatedFrames) {
   const auto frame = build_tcp_frame(sample_tcp_spec());
   for (const std::size_t cut : {0UL, 5UL, 13UL, 20UL, 33UL, 40UL}) {
     const std::span<const std::uint8_t> truncated(frame.data(), cut);
-    if (cut < kEthHeaderLen) EXPECT_FALSE(parse_ethernet(truncated).has_value());
-    if (cut < kOffL4) EXPECT_FALSE(parse_ipv4(truncated).has_value());
+    if (cut < kEthHeaderLen) {
+      EXPECT_FALSE(parse_ethernet(truncated).has_value());
+    }
+    if (cut < kOffL4) {
+      EXPECT_FALSE(parse_ipv4(truncated).has_value());
+    }
     EXPECT_FALSE(parse_tcp(truncated).has_value());
   }
 }

@@ -55,7 +55,9 @@ class Args {
       if (eq != std::string::npos) {
         values_[token.substr(0, eq)] = token.substr(eq + 1);
       } else if (token == "stream") {
-        values_[token] = "1";  // boolean flag: takes no value
+        // Boolean flag: takes no value. Move-assigned, because GCC 12 at -O3
+        // reports a false -Wrestrict for assigning a literal here.
+        values_[token] = std::string("1");
       } else if (i + 1 < argc) {
         values_[token] = argv[++i];
       } else {
