@@ -59,20 +59,21 @@ int main() {
               controller.events().size(), controller.retrain_count(),
               controller.current_miss_rate());
 
-  // 4. Scale out: serve the live stream through the multi-worker engine with
-  //    periodic telemetry snapshots every 2 batches.
+  // 4. Scale out: serve the live stream through the multi-worker engine,
+  //    publishing a telemetry snapshot after every second batch.
   p4::EngineConfig engine_config;
   engine_config.workers = 2;
-  engine_config.snapshot_interval_batches = 2;
   auto engine = controller.pipeline().make_engine(engine_config);
-  engine->set_snapshot_hook(
-      [] { std::printf("  [snapshot hook] telemetry published\n"); });
   const auto& packets = live.packets();
   std::vector<p4::Verdict> verdicts;
   constexpr std::size_t kBatch = 2048;
-  for (std::size_t off = 0; off < packets.size(); off += kBatch) {
+  for (std::size_t off = 0, batch = 1; off < packets.size(); off += kBatch, ++batch) {
     const auto count = std::min(kBatch, packets.size() - off);
     engine->process_batch(std::span(packets).subspan(off, count), verdicts);
+    if (batch % 2 == 0) {
+      engine->publish_telemetry();
+      std::printf("  [snapshot] telemetry published\n");
+    }
   }
   engine->publish_telemetry();
 

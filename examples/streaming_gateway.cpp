@@ -5,6 +5,7 @@
 // rule snapshot at their next chunk boundary).
 //
 //   $ ./streaming_gateway
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 
@@ -47,18 +48,20 @@ int main() {
   });
 
   // 4. Push a sustained arrival stream; halfway through, the controller
-  //    swaps in a tightened rule set while frames are still in flight.
+  //    swaps in a tightened rule set while frames are still in flight. The
+  //    stream holds pushed frames by reference until it is flushed, so each
+  //    round pushes a slice of `test`, which outlives the stream — never a
+  //    buffer that is refilled while earlier frames may still be queued.
   const std::uint64_t before_swap = engine->rules_version();
-  std::vector<pkt::Packet> arrivals;
-  arrivals.reserve(256);
+  const std::span<const pkt::Packet> frames = test.packets();
+  const std::size_t arrivals = std::min<std::size_t>(256, frames.size());
   common::Stopwatch timer;
   std::size_t served = 0;
   constexpr std::size_t kRounds = 1024;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    arrivals.clear();
-    for (std::size_t i = 0; i < 256; ++i)
-      arrivals.push_back(test[(served + i) % test.size()]);
-    served += engine->stream_push(arrivals);
+  for (std::size_t round = 0, at = 0; round < kRounds; ++round) {
+    if (at + arrivals > frames.size()) at = 0;  // replay the capture
+    served += engine->stream_push(frames.subspan(at, arrivals));
+    at += arrivals;
     if (round == kRounds / 2) {
       auto tightened = pipeline.rules().entries;
       if (!tightened.empty()) tightened[0].action = p4::ActionOp::kDrop;

@@ -39,7 +39,6 @@ DataplaneEngine::EngineMetrics DataplaneEngine::EngineMetrics::acquire() {
 }
 
 DataplaneEngine::DataplaneEngine(P4Program program, EngineConfig config) {
-  snapshot_interval_ = config.snapshot_interval_batches;
   ring_capacity_ = std::max<std::size_t>(1, config.ring_capacity);
   backpressure_ = config.backpressure;
   std::size_t n = config.workers;
@@ -56,20 +55,19 @@ DataplaneEngine::DataplaneEngine(P4Program program, EngineConfig config) {
     if (config.flow_cache_capacity > 0)
       workers_.back()->sw.enable_flow_cache(config.flow_cache_capacity);
   }
-  publish_plan();  // engine is idle: the adoption fans out eagerly
+  publish_plan();  // workers adopt it with their first chunk
 
   threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    threads_.emplace_back([this, i] { worker_main(i); });
+  for (auto& wp : workers_) threads_.emplace_back([this, &w = *wp] { worker_main(w); });
 }
 
 DataplaneEngine::~DataplaneEngine() {
-  {
-    std::lock_guard lock(mutex_);
-    stop_.store(true, std::memory_order_release);
+  stop_.store(true, std::memory_order_release);
+  for (auto& w : workers_) {
+    { std::lock_guard lock(w->ring.m); }  // a waiter sees stop_ or the notify
+    w->ring.data_cv.notify_all();
+    w->ring.space_cv.notify_all();
   }
-  work_cv_.notify_all();
-  wake_all_rings();
   for (auto& t : threads_) t.join();
 }
 
@@ -81,25 +79,16 @@ DataplaneEngine::current_plan() const {
 
 void DataplaneEngine::publish_plan() {
   const std::uint64_t t0 = telemetry::now_ns();
-  auto plan = std::make_shared<ControlPlan>();
   // publish_plan is control-thread-serialized, so load+1 cannot collide.
-  plan->gen = plan_gen_.load(std::memory_order_relaxed) + 1;
-  plan->rules = control_.snapshot();
-  plan->guard = guard_spec_;
-  auto fields = std::make_shared<std::vector<FieldRef>>(
-      guard_spec_ ? guard_spec_->key_fields
-                  : workers_[0]->sw.program().parser.fields);
-  plan->shard_fields = std::move(fields);
+  auto plan = std::make_shared<const ControlPlan>(ControlPlan{
+      plan_gen_.load(std::memory_order_relaxed) + 1, control_.snapshot(), guard_spec_,
+      guard_spec_ ? guard_spec_->key_fields : program().parser.fields});
   {
     std::lock_guard lock(plan_mutex_);
     plan_ptr_ = plan;
   }
+  // Workers pick the plan up at their next chunk boundary.
   plan_gen_.store(plan->gen, std::memory_order_release);
-  // Workers pick the plan up at their next chunk boundary. When the engine
-  // is idle the workers are parked and quiesced, so apply it here on the
-  // control thread: after a rule call between batches every worker already
-  // serves, and counts against, the new version.
-  if (!streaming()) for (auto& w : workers_) maybe_adopt(*w);
   metrics_.swap_ns->record(telemetry::now_ns() - t0);
 }
 
@@ -107,7 +96,7 @@ void DataplaneEngine::maybe_adopt(Worker& w) {
   const std::uint64_t gen = plan_gen_.load(std::memory_order_acquire);
   if (w.plan && w.plan->gen == gen) return;
   std::shared_ptr<const ControlPlan> plan = current_plan();
-  if (!plan || plan == w.plan) return;
+  if (plan == w.plan) return;
   const std::shared_ptr<const ControlPlan> old = std::move(w.plan);
   w.plan = plan;
   w.sw.adopt_rules(plan->rules);
@@ -142,23 +131,7 @@ std::size_t DataplaneEngine::shard_of(const pkt::Packet& packet,
   return static_cast<std::size_t>(h % worker_count);
 }
 
-void DataplaneEngine::worker_main(std::size_t worker_index) {
-  Worker& w = *workers_[worker_index];
-  for (;;) {
-    {
-      std::unique_lock lock(mutex_);
-      work_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) ||
-               streaming_.load(std::memory_order_relaxed);
-      });
-      if (stop_.load(std::memory_order_relaxed)) return;
-    }
-    ring_loop(w);
-    if (stop_.load(std::memory_order_acquire)) return;
-  }
-}
-
-void DataplaneEngine::ring_loop(Worker& w) {
+void DataplaneEngine::worker_main(Worker& w) {
   Ring& r = w.ring;
   std::vector<Ring::Item> chunk;
   chunk.reserve(kWorkerChunk);
@@ -167,11 +140,9 @@ void DataplaneEngine::ring_loop(Worker& w) {
     {
       std::unique_lock lock(r.m);
       r.data_cv.wait(lock, [&] {
-        return r.count > 0 || stop_.load(std::memory_order_relaxed) ||
-               !streaming_.load(std::memory_order_relaxed);
+        return r.count > 0 || stop_.load(std::memory_order_relaxed);
       });
       if (stop_.load(std::memory_order_relaxed)) return;
-      if (r.count == 0) return;  // stream closed with a drained ring
       const std::size_t take = std::min(r.count, kWorkerChunk);
       for (std::size_t i = 0; i < take; ++i) {
         chunk.push_back(r.slots[r.head]);
@@ -206,18 +177,10 @@ void DataplaneEngine::ring_loop(Worker& w) {
   }
 }
 
-void DataplaneEngine::wake_all_rings() {
-  for (auto& w : workers_) {
-    { std::lock_guard lock(w->ring.m); }
-    w->ring.data_cv.notify_all();
-    w->ring.space_cv.notify_all();
-  }
-}
-
 std::size_t DataplaneEngine::enqueue(std::span<const pkt::Packet> frames,
                                      std::uint64_t seq0, bool allow_drop) {
   const std::shared_ptr<const ControlPlan> plan = current_plan();
-  const std::vector<FieldRef>& fields = *plan->shard_fields;
+  const std::vector<FieldRef>& fields = plan->shard_fields;
   for (auto& w : workers_) w->stage.clear();
   for (std::size_t i = 0; i < frames.size(); ++i)
     workers_[shard_of(frames[i], fields, workers_.size())]->stage.push_back(i);
@@ -301,12 +264,6 @@ void DataplaneEngine::process_batch(std::span<const pkt::Packet> batch,
       {"engine.batch", "engine", batch_start_ns, batch_end_ns, 0,
        std::to_string(batch.size()) + " pkts / " +
            std::to_string(workers_.size()) + " workers"});
-
-  if (snapshot_interval_ > 0 && ++batches_since_snapshot_ >= snapshot_interval_) {
-    batches_since_snapshot_ = 0;
-    publish_telemetry();
-    if (snapshot_hook_) snapshot_hook_();
-  }
 }
 
 void DataplaneEngine::start_stream(VerdictSink sink) {
@@ -329,12 +286,10 @@ void DataplaneEngine::start_stream(VerdictSink sink) {
 }
 
 void DataplaneEngine::open_stream(VerdictSink sink) {
+  // Workers read sink_ only after popping a frame pushed under the ring
+  // mutex, which orders this write before their reads.
   sink_ = std::move(sink);
-  {
-    std::lock_guard lock(mutex_);
-    streaming_.store(true, std::memory_order_release);
-  }
-  work_cv_.notify_all();
+  streaming_.store(true, std::memory_order_release);
 }
 
 std::size_t DataplaneEngine::stream_push(std::span<const pkt::Packet> frames) {
@@ -362,17 +317,8 @@ void DataplaneEngine::stream_flush() {
 void DataplaneEngine::stop_stream() {
   if (!streaming()) return;
   std::exception_ptr error = drain();
-  {
-    std::lock_guard lock(mutex_);
-    streaming_.store(false, std::memory_order_release);
-  }
-  wake_all_rings();
-  sink_ = nullptr;
-  // The rings are drained and the workers quiesced (the drain's done_mutex_
-  // handshake is the happens-before edge), so fan the newest plan out here:
-  // workers that saw no traffic after a mid-stream swap adopt it now, and
-  // merged counter reads after the stream are canonical.
-  for (auto& w : workers_) maybe_adopt(*w);
+  streaming_.store(false, std::memory_order_release);
+  sink_ = nullptr;  // every delivery is in: drain() ordered them before this
   if (error) std::rethrow_exception(error);
 }
 
@@ -391,12 +337,6 @@ std::uint64_t DataplaneEngine::ring_dropped(std::size_t worker) const {
   const Ring& r = workers_[worker]->ring;
   std::lock_guard lock(r.m);
   return r.dropped;
-}
-
-TableWriteStatus DataplaneEngine::install_entry(const TableEntry& entry) {
-  const auto status = control_.add_entry(entry);
-  if (status == TableWriteStatus::kOk) publish_plan();
-  return status;
 }
 
 TableWriteStatus DataplaneEngine::install_rules(const std::vector<TableEntry>& entries) {
@@ -447,12 +387,6 @@ std::shared_ptr<const RuleSnapshot> DataplaneEngine::rules_snapshot() const {
   return current_plan()->rules;
 }
 
-void DataplaneEngine::adopt_rules(std::shared_ptr<const RuleSnapshot> snap) {
-  if (!snap) return;
-  control_.adopt_snapshot(std::move(snap));
-  publish_plan();
-}
-
 void DataplaneEngine::set_mirror_handler(P4Switch::MirrorHandler handler) {
   mirror_ = std::move(handler);
 }
@@ -475,15 +409,11 @@ SwitchStats DataplaneEngine::stats() const {
 }
 
 std::uint64_t DataplaneEngine::hit_count(std::size_t entry_index) const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->sw.table().hit_count(entry_index);
-  return total;
+  return hit_count_for_version(rules_version(), entry_index);
 }
 
 std::uint64_t DataplaneEngine::default_hits() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->sw.table().default_hits();
-  return total;
+  return default_hits_for_version(rules_version());
 }
 
 std::uint64_t DataplaneEngine::hit_count_for_version(std::uint64_t version,
@@ -527,12 +457,11 @@ void DataplaneEngine::publish_telemetry() const {
   reg.set_gauge("p4iot_engine_backpressure",
                 static_cast<double>(static_cast<int>(backpressure_)),
                 "Full-ring policy (0 = block, 1 = drop)");
-  const P4Switch& first = workers_[0]->sw;
   DataplaneGauges gauges;
   gauges.stats = stats();
-  gauges.table = &first.table();
-  if (first.flow_cache_enabled()) gauges.cache = flow_cache_stats();
-  if (const RateGuard* guard = first.rate_guard()) gauges.guard = &guard->spec();
+  gauges.table = &control_;
+  if (workers_[0]->sw.flow_cache_enabled()) gauges.cache = flow_cache_stats();
+  gauges.guard = guard_spec_.get();
   std::uint64_t dropped_sum = 0;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     const auto& sw = workers_[w]->sw;

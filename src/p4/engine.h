@@ -18,31 +18,39 @@
 //
 // Rule-state ownership (the RCU split; see p4/rule_snapshot.h):
 //   * The engine owns one control-plane MatchActionTable. Every rule call
-//     (install_entry / install_rules / clear_rules / set_default_action /
+//     (install_rules / clear_rules / set_default_action /
 //     set_malformed_policy / set_match_backend / set_rate_guard) mutates it
-//     and publishes an immutable ControlPlan pointer — rule snapshot, guard
-//     spec and shard fields — through one atomic shared_ptr.
-//   * Worker replicas adopt the newest plan at chunk boundaries, never in
-//     the middle of a frame: a live rule swap is hitless. Per-entry hit
-//     counters live in per-worker shards, one per snapshot version; on
-//     adoption the shard of the outgoing rules is archived and stays
-//     queryable via hit_count_for_version(), and counting restarts at zero.
+//     and publishes an immutable ControlPlan — rule snapshot, guard spec and
+//     shard fields — behind one mutex-guarded pointer.
+//   * A worker replica is written only by its own thread: it adopts the
+//     newest plan at a chunk boundary, never in the middle of a frame, so a
+//     live rule swap is hitless. A worker that receives no frames keeps its
+//     old plan; nothing else catches it up. Per-entry hit counters live in
+//     per-worker shards, one per snapshot version; on adoption the shard of
+//     the outgoing rules is archived and stays queryable via
+//     hit_count_for_version(). Merged counter reads are keyed to the
+//     published version, so a worker that has not adopted it yet
+//     contributes zero, exactly as a sequential switch would.
 //
-// Delivery: there is one packet path. A worker pops a chunk from its ring,
-// classifies each frame with P4Switch::process() and hands the verdict to
-// the open stream's sink. process_batch() is an internal stream whose sink
-// files verdicts by batch index; it does not have its own delivery mode.
+// Delivery: there is one packet path. A worker waits on its ring, pops a
+// chunk, classifies each frame with P4Switch::process() and hands the
+// verdict to the open stream's sink. process_batch() is an internal stream
+// whose sink files verdicts by batch index; it does not have its own
+// delivery mode.
 //
 // Threading contract:
 //   * Rule calls are serialized against each other (one control thread at a
-//     time) but ARE safe concurrent with streaming ingest — that is the
-//     point of the snapshot design. They remain NOT safe concurrent with
-//     process_batch(), whose caller doubles as the delivery thread.
-//   * stream_push()/stream_flush()/stop_stream() form a single-producer
-//     interface: one ingest thread at a time.
-//   * Readers of merged state (stats(), hit_count(), flow_cache_stats())
-//     must quiesce the dataplane first: between batches, or after
-//     stream_flush() has returned with no pushes in flight.
+//     time) and are safe concurrent with everything on the packet side:
+//     stream_push(), stream_flush(), start_stream()/stop_stream() and
+//     process_batch().
+//   * process_batch() and start_stream()/stream_push()/stream_flush()/
+//     stop_stream() form a single-producer interface: one ingest thread at a
+//     time.
+//   * Readers of merged state (stats(), hit_count(), flow_cache_stats(),
+//     publish_telemetry()) need a quiesced dataplane: call them between
+//     batches, or after stream_flush() has returned with no pushes in
+//     flight. publish_telemetry() also reads the control table, so it must
+//     not overlap a rule call either.
 //   * match_backend(), rules_version() and rules_snapshot() read the
 //     published plan and are safe from any thread at any time.
 #pragma once
@@ -79,9 +87,6 @@ struct EngineConfig {
   std::size_t table_capacity = 1024;
   /// Per-worker flow-verdict cache slots; 0 disables the cache.
   std::size_t flow_cache_capacity = 4096;
-  /// Publish merged telemetry gauges (and invoke the snapshot hook, if any)
-  /// every N completed batches; 0 disables periodic snapshots.
-  std::size_t snapshot_interval_batches = 0;
   /// Lookup backend for every worker replica. The engine is the scale path,
   /// so it defaults to the compiled tuple-space index; the single P4Switch
   /// keeps the linear scan as its faithful default.
@@ -154,8 +159,7 @@ class DataplaneEngine {
 
   // -- runtime rule API (control plane) -------------------------------------
   // Serialized against each other; safe concurrent with streaming ingest
-  // (workers adopt at chunk boundaries), NOT with process_batch().
-  TableWriteStatus install_entry(const TableEntry& entry);
+  // and process_batch() (workers adopt at chunk boundaries).
   TableWriteStatus install_rules(const std::vector<TableEntry>& entries);
   void set_default_action(ActionOp action);
   void clear_rules();
@@ -173,34 +177,25 @@ class DataplaneEngine {
   /// The published snapshot itself (immutable; safe to hold).
   std::shared_ptr<const RuleSnapshot> rules_snapshot() const;
 
-  /// Install a rule snapshot built elsewhere (a controller candidate) as
-  /// the engine's rule set — entries, index, default action, backend and
-  /// malformed policy in one publication. Hitless under streaming.
-  void adopt_rules(std::shared_ptr<const RuleSnapshot> snap);
-
   /// Mirror handler. process_batch() hands mirrored frames to it on the
   /// calling thread after the batch, in packet order; a stream runs it on
   /// the worker thread, just before the frame's sink call. Not safe to
   /// change while a stream is open or a batch is in flight.
   void set_mirror_handler(P4Switch::MirrorHandler handler);
 
-  /// Periodic telemetry snapshot: when `snapshot_interval_batches` is set,
-  /// publish_telemetry() runs after every interval-th batch on the calling
-  /// thread, then `hook` fires (e.g. to write a metrics file). Not
-  /// concurrent-safe with the dataplane, like the rest of the control API.
-  void set_snapshot_hook(std::function<void()> hook) { snapshot_hook_ = std::move(hook); }
-
   /// Copy merged engine state into the global telemetry registry: the
   /// aggregate dataplane/cache/guard gauges (publish_dataplane_gauges() over
-  /// the merged worker shards), per-
-  /// worker packet counts (`p4iot_engine_worker_packets{worker="i"}`) and
-  /// ring-drop counts (`p4iot_engine_ring_dropped{worker="i"}`), and
-  /// worker/batch gauges. Snapshot-time only, never on the hot path.
+  /// the merged worker shards; rule and guard gauges come from the control
+  /// state), per-worker packet counts
+  /// (`p4iot_engine_worker_packets{worker="i"}`) and ring-drop counts
+  /// (`p4iot_engine_ring_dropped{worker="i"}`), and worker/batch gauges.
+  /// Snapshot-time only, never on the hot path.
   void publish_telemetry() const;
 
   /// Per-worker SwitchStats shards merged on read (quiesced dataplane only).
   SwitchStats stats() const;
-  /// Merged per-entry hit counters (replicas hold identical entry order).
+  /// Merged per-entry hit counters of the published rule version
+  /// (hit_count_for_version(rules_version(), ...)).
   std::uint64_t hit_count(std::size_t entry_index) const;
   std::uint64_t default_hits() const;
   /// Merged per-entry hits recorded against a specific rule version —
@@ -226,7 +221,7 @@ class DataplaneEngine {
     std::uint64_t gen = 0;
     std::shared_ptr<const RuleSnapshot> rules;
     std::shared_ptr<const RateGuardSpec> guard;  ///< null = no guard
-    std::shared_ptr<const std::vector<FieldRef>> shard_fields;
+    std::vector<FieldRef> shard_fields;
   };
 
   /// Bounded SPSC ingest ring (producer: the pushing thread; consumer: the
@@ -241,7 +236,7 @@ class DataplaneEngine {
     std::size_t count = 0;  ///< occupied slots
     std::uint64_t dropped = 0;
     mutable std::mutex m;
-    std::condition_variable data_cv;   ///< signalled on push and stream close
+    std::condition_variable data_cv;   ///< signalled on push and engine stop
     std::condition_variable space_cv;  ///< signalled on pop
   };
 
@@ -250,7 +245,7 @@ class DataplaneEngine {
         : sw(std::move(program), capacity) {}
     P4Switch sw;
     Ring ring;
-    std::shared_ptr<const ControlPlan> plan;  ///< last plan adopted
+    std::shared_ptr<const ControlPlan> plan;  ///< last plan adopted (own thread)
     std::vector<std::size_t> stage;           ///< per-call shard staging
   };
 
@@ -261,20 +256,18 @@ class DataplaneEngine {
   static std::size_t shard_of(const pkt::Packet& packet,
                               std::span<const FieldRef> fields,
                               std::size_t worker_count) noexcept;
-  void worker_main(std::size_t worker_index);
-  /// Drain the ring until the stream closes with an empty ring.
-  void ring_loop(Worker& w);
-  /// Adopt the newest published plan into `w` if it changed (chunk boundary).
+  /// The worker thread: wait for frames on the ring, adopt the newest plan,
+  /// classify and deliver a chunk; until the engine stops.
+  void worker_main(Worker& w);
+  /// Adopt the newest published plan into `w` if it changed (chunk boundary,
+  /// on `w`'s own thread).
   void maybe_adopt(Worker& w);
-  /// Build and publish a fresh plan from the control table + guard spec;
-  /// fans the adoption out to the (quiesced) workers when the engine is
-  /// idle, so every worker's counters move to the new version at once.
+  /// Build and publish a fresh plan from the control table + guard spec.
   void publish_plan();
   /// Shard `frames` and enqueue; `seq0` numbers them. Blocking push unless
   /// `allow_drop`. Returns frames accepted.
   std::size_t enqueue(std::span<const pkt::Packet> frames, std::uint64_t seq0,
                       bool allow_drop);
-  void wake_all_rings();
   /// Start workers delivering through `sink` (public streams and batches).
   void open_stream(VerdictSink sink);
   /// Wait until every accepted frame is delivered; returns (and clears) the
@@ -308,15 +301,10 @@ class DataplaneEngine {
     static EngineMetrics acquire();
   };
   EngineMetrics metrics_ = EngineMetrics::acquire();
-  std::function<void()> snapshot_hook_;
-  std::size_t snapshot_interval_ = 0;
-  std::size_t batches_since_snapshot_ = 0;
 
-  // Dispatch state. streaming_ transitions happen under mutex_ (so parked
-  // workers can't miss the wakeup); workers park on work_cv_ while idle.
+  // Dispatch state. Workers wait on their ring for the engine's lifetime;
+  // streaming_ only backs the producer-side misuse checks.
   std::vector<std::thread> threads_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
   std::atomic<bool> streaming_{false};
   std::atomic<bool> stop_{false};
   std::size_t last_max_shard_ = 0;  ///< largest shard of the last enqueue

@@ -201,11 +201,19 @@ void patch(std::vector<char>& bytes, std::size_t pos, T value) {
   std::memcpy(bytes.data() + pos, &value, sizeof value);
 }
 
+// ctest runs each MalformedModel test in its own process, several at once:
+// scratch files are named per process and per test so no two runs share one.
+std::string unique_temp_path(const std::string& stem) {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + stem + "_" + std::to_string(::getpid()) +
+         (test ? std::string("_") + test->name() : std::string()) + ".bin";
+}
+
 class MalformedModel : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     pipeline_ = new TwoStagePipeline(trained_pipeline(small_trace()));
-    const std::string saved = ::testing::TempDir() + "/p4iot_malformed_src.bin";
+    const std::string saved = unique_temp_path("p4iot_malformed_src");
     ASSERT_TRUE(save_pipeline(*pipeline_, saved));
     bytes_ = new std::vector<char>(read_bytes(saved));
     std::remove(saved.c_str());
@@ -230,7 +238,7 @@ class MalformedModel : public ::testing::Test {
   static std::vector<char>* bytes_;
   ModelLayout layout_;
   std::vector<char> bytes;
-  const std::string path = ::testing::TempDir() + "/p4iot_malformed.bin";
+  const std::string path = unique_temp_path("p4iot_malformed");
 };
 TwoStagePipeline* MalformedModel::pipeline_ = nullptr;
 std::vector<char>* MalformedModel::bytes_ = nullptr;

@@ -320,6 +320,112 @@ TEST(DataplaneEngineStream, MidStreamSwapKeepsVerdictsAndCounterCredit) {
   EXPECT_EQ(engine.default_hits(), seq.table().default_hits());
 }
 
+// Rule calls from a control thread while the producer keeps opening and
+// closing streams and dispatching batches: only a worker's own thread may
+// write its replica, so under TSan no rule call, stream start or stream stop
+// races a worker. Plain builds check that every frame is accounted for.
+TEST(DataplaneEngineStream, RuleCallsAcrossStreamRestartsAreRaceFree) {
+  const auto traffic = fuzz_corpus(128, 0xbeef08);
+  const auto program = ethernet_program();
+  const auto rules_a = ethernet_rules();
+  auto rules_b = rules_a;
+  rules_b[0].action = ActionOp::kPermit;
+
+  RateGuardSpec guard;
+  guard.key_fields = {program.parser.fields[1]};
+  guard.threshold = 50;
+
+  EngineConfig config;
+  config.workers = 2;
+  config.ring_capacity = 64;
+  DataplaneEngine engine(program, config);
+  ASSERT_EQ(engine.install_rules(rules_a), TableWriteStatus::kOk);
+
+  std::atomic<bool> done{false};
+  std::thread control([&] {
+    for (std::size_t i = 0; !done.load(std::memory_order_acquire); ++i) {
+      switch (i % 3) {
+        case 0: engine.install_rules(i % 2 ? rules_a : rules_b); break;
+        case 1: engine.set_rate_guard(guard); break;
+        case 2: engine.set_default_action(i % 2 ? ActionOp::kDrop : ActionOp::kPermit);
+                break;
+      }
+    }
+  });
+
+  std::atomic<std::uint64_t> delivered{0};
+  std::vector<Verdict> verdicts;
+  constexpr std::size_t kRestarts = 300;
+  for (std::size_t round = 0; round < kRestarts; ++round) {
+    engine.start_stream([&delivered](std::uint64_t, const pkt::Packet&,
+                                     const Verdict&) {
+      delivered.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(engine.stream_push(std::span(traffic)), traffic.size());
+    engine.stop_stream();
+    const auto ss = engine.stream_stats();
+    EXPECT_EQ(ss.accepted, traffic.size());
+    EXPECT_EQ(ss.delivered, traffic.size());
+    EXPECT_EQ(ss.dropped, 0u);
+    engine.process_batch(std::span(traffic), verdicts);
+    EXPECT_EQ(verdicts.size(), traffic.size());
+  }
+  done.store(true, std::memory_order_release);
+  control.join();
+
+  EXPECT_EQ(delivered.load(), kRestarts * traffic.size());
+  EXPECT_EQ(engine.stats().packets, 2 * kRestarts * traffic.size());
+}
+
+// Workers adopt a plan only when they receive frames. After an idle swap, a
+// batch of one flow reaches one worker of four; the other three still hold
+// the old rules and their old credit, yet the merged counters match the
+// sequential switch, because they are read against the published version.
+TEST(DataplaneEngineStream, IdleSwapCountsOnlyAdoptedWorkers) {
+  const auto traffic = fuzz_corpus(2000, 0xbeef09);
+  const auto program = ethernet_program();
+  const auto rules_a = ethernet_rules();
+  auto rules_b = rules_a;
+  rules_b[1].action = ActionOp::kPermit;
+  rules_b.pop_back();
+
+  P4Switch seq(program);
+  ASSERT_EQ(seq.install_rules(rules_a), TableWriteStatus::kOk);
+  DataplaneEngine engine(program, EngineConfig{.workers = 4});
+  ASSERT_EQ(engine.install_rules(rules_a), TableWriteStatus::kOk);
+
+  for (const auto& p : traffic) (void)seq.process(p);
+  (void)engine.process_batch(std::span(traffic));
+  std::vector<std::uint64_t> pre_hits;
+  for (std::size_t e = 0; e < seq.table().entry_count(); ++e)
+    pre_hits.push_back(seq.table().hit_count(e));
+  const std::uint64_t pre_default = seq.table().default_hits();
+  const std::uint64_t old_version = engine.rules_version();
+
+  ASSERT_EQ(seq.install_rules(rules_b), TableWriteStatus::kOk);
+  ASSERT_EQ(engine.install_rules(rules_b), TableWriteStatus::kOk);
+
+  // Equal frames carry equal flow keys, so they all shard to one worker.
+  const std::vector<pkt::Packet> one_flow(300, traffic[0]);
+  std::vector<std::uint64_t> before(engine.worker_count());
+  for (std::size_t w = 0; w < engine.worker_count(); ++w)
+    before[w] = engine.worker(w).stats().packets;
+  const auto got = engine.process_batch(std::span(one_flow));
+  std::size_t busy = 0;
+  for (std::size_t w = 0; w < engine.worker_count(); ++w)
+    busy += engine.worker(w).stats().packets != before[w] ? 1 : 0;
+  ASSERT_EQ(busy, 1u);
+
+  for (std::size_t i = 0; i < one_flow.size(); ++i)
+    ASSERT_TRUE(same_verdict(got[i], seq.process(one_flow[i]))) << "packet " << i;
+  for (std::size_t e = 0; e < seq.table().entry_count(); ++e)
+    EXPECT_EQ(engine.hit_count(e), seq.table().hit_count(e)) << "entry " << e;
+  EXPECT_EQ(engine.default_hits(), seq.table().default_hits());
+  for (std::size_t e = 0; e < pre_hits.size(); ++e)
+    EXPECT_EQ(engine.hit_count_for_version(old_version, e), pre_hits[e]) << "entry " << e;
+  EXPECT_EQ(engine.default_hits_for_version(old_version), pre_default);
+}
+
 TEST(DataplaneEngineStream, ThrowingSinkIsContainedAndRethrownOnFlush) {
   const auto traffic = fuzz_corpus(2000, 0xbeef07);
   DataplaneEngine engine(ethernet_program(), EngineConfig{.workers = 2});

@@ -324,21 +324,17 @@ TEST(DataplaneEngine, PublishTelemetryExportsMergedAndPerWorkerGauges) {
   EXPECT_LE(hit_rate->value(), 1.0);
 }
 
-TEST(DataplaneEngine, BatchSpansAndPeriodicSnapshotHookFire) {
+TEST(DataplaneEngine, BatchCounterAndSpansFire) {
   namespace telemetry = common::telemetry;
   const auto batches_before =
       telemetry::Registry::global().counter("p4iot_engine_batches_total").value();
   EngineConfig config;
   config.workers = 2;
-  config.snapshot_interval_batches = 2;
   DataplaneEngine engine(test_program(), config);
   ASSERT_EQ(engine.install_rules(test_rules()), TableWriteStatus::kOk);
-  int hook_calls = 0;
-  engine.set_snapshot_hook([&] { ++hook_calls; });
 
   const auto traffic = synthetic_traffic(400, 19);
   for (int b = 0; b < 5; ++b) (void)engine.process_batch(traffic);
-  EXPECT_EQ(hook_calls, 2);  // after batches 2 and 4
   const auto batches_after =
       telemetry::Registry::global().counter("p4iot_engine_batches_total").value();
   EXPECT_EQ(batches_after - batches_before, 5u);

@@ -337,13 +337,13 @@ int cmd_stats(const Args& args) {
   std::printf("flow cache: %.1f%% hit rate (%llu hits / %llu misses)\n",
               100.0 * cache.hit_rate(), static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses));
-  if (const auto* index = engine->worker(0).table().compiled_index()) {
+  const auto rules = engine->rules_snapshot();
+  if (rules->compiled) {  // set iff the backend is compiled
     std::printf("match backend: %s (%zu tuple-space groups over %zu entries)\n",
-                p4::match_backend_name(engine->match_backend()),
-                index->group_count(), engine->worker(0).table().entry_count());
+                p4::match_backend_name(rules->backend), rules->compiled->group_count(),
+                rules->entries.size());
   } else {
-    std::printf("match backend: %s\n",
-                p4::match_backend_name(engine->match_backend()));
+    std::printf("match backend: %s\n", p4::match_backend_name(rules->backend));
   }
   std::printf("controller: %zu events, %zu retrains, degraded=%s\n",
               controller.events().size(), controller.retrain_count(),
